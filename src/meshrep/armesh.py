@@ -13,91 +13,23 @@ objects of identities), which normalize to zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Set, Tuple
 
 from .derived import (ChainMap, Complex, DerivedObject, Square, cone,
-                      contractible_cone_over, contractible_path_onto, homology_dims,
+                      contractible_cone_over, contractible_path_onto, glue, homology_dims,
                       is_bicartesian, linear_dual_complex, mapping_cylinder,
-                      mapping_path, minimize, normalize)
-from .linalg import FieldSpec, Matrix, column_space_basis, kernel_basis, rank, rref, solve
+                      mapping_path, normalize, split)
+from .linalg import (FieldSpec, Matrix, column_space_basis, complement_columns,
+                     complement_projection, kernel_basis, rank, solve)
 from .rep import Rep
-from .shapes import (LineQuiver, MeshWindow, Poset, embed_iQ, mesh_map_f,
-                     mesh_map_f_inv, point_poset)
+from .shapes import LineQuiver, MeshWindow, Poset, embed_iQ, mesh_map_f, point_poset
 
 Vertex = Tuple[int, int]
 
 
 # ---------------------------------------------------------------------------
-# splitting a quiver-shaped complex into vertex values and arrow maps
-
-
-def value_shape(spectator: Optional[Poset]) -> Poset:
-    return spectator if spectator is not None else point_poset()
-
-
-def _key(v, r, spectator):
-    return v if spectator is None else (v, r)
-
-
-def split_by_vertex(q: LineQuiver, c: Complex, spectator: Optional[Poset]):
-    """(values, arrows): per-vertex complexes over the spectator shape and the
-    arrow chain maps between them."""
-    sh = value_shape(spectator)
-    field = c.field
-    values: Dict[int, Complex] = {}
-    for v in q.vertices:
-        terms = {}
-        diffs = {}
-        for d in c.degrees():
-            dims = {r: c.term(d).dims[_key(v, r, spectator)] for r in sh.elements}
-            mats = {}
-            for (r1, r2) in sh.covers:
-                mats[(r1, r2)] = c.term(d).mats[(_key(v, r1, spectator), _key(v, r2, spectator))]
-            terms[d] = Rep(sh, field, dims, mats, validate=False)
-            diffs[d] = {r: c.diff(d)[_key(v, r, spectator)] for r in sh.elements}
-        values[v] = Complex(sh, field, terms, diffs, validate=False)
-    arrows: Dict[Tuple[int, int], ChainMap] = {}
-    for (u, v) in q.arrows():
-        comps = {d: {r: c.term(d).mats[(_key(u, r, spectator), _key(v, r, spectator))]
-                     for r in sh.elements} for d in c.degrees()}
-        arrows[(u, v)] = ChainMap(values[u], values[v], comps)
-    return values, arrows
-
-
-def merge_to_complex(q: LineQuiver, values: Dict[int, Complex],
-                     arrows: Dict[Tuple[int, int], ChainMap],
-                     spectator: Optional[Poset]) -> Complex:
-    """Inverse of split_by_vertex."""
-    sh = value_shape(spectator)
-    field = next(iter(values.values())).field
-    from .functors import quiver_shape
-    shape = quiver_shape(q, spectator)
-    degs = sorted({d for val in values.values() for d in val.degrees()})
-    terms = {}
-    diffs: Dict[int, Dict] = {}
-    for d in degs:
-        dims = {}
-        mats = {}
-        for v in q.vertices:
-            for r in sh.elements:
-                dims[_key(v, r, spectator)] = values[v].term(d).dims[r]
-        for (x, y) in shape.covers:
-            if spectator is None:
-                vx, rx, vy, ry = x, (), y, ()
-            else:
-                (vx, rx), (vy, ry) = x, y
-            if vx == vy:
-                mats[(x, y)] = values[vx].term(d).mats[(rx, ry)]
-            else:
-                mats[(x, y)] = arrows[(vx, vy)].comp(d)[rx]
-        terms[d] = Rep(shape, field, dims, mats, validate=False)
-    for d in degs:
-        diffs[d] = {}
-        for v in q.vertices:
-            for r in sh.elements:
-                diffs[d][_key(v, r, spectator)] = values[v].diff(d)[r]
-    return Complex(shape, field, terms, diffs, validate=False)
+# stiffening the arrows of a quiver-shaped diagram
 
 
 def stiffen(q: LineQuiver, values: Dict[int, Complex],
@@ -172,7 +104,6 @@ def _reattach(q: LineQuiver, arrows, w: int, old: Complex, new: Complex,
 
 def _quotient_data(m: Complex, incl: ChainMap):
     """Projection data for M / im(incl), incl degreewise mono."""
-    fieldd = m.field
     sh = m.shape
     proj: Dict[int, Dict] = {}
     sec: Dict[int, Dict] = {}
@@ -180,20 +111,11 @@ def _quotient_data(m: Complex, incl: ChainMap):
     for d in sorted(set(m.degrees()) | set(incl.src.degrees())):
         proj[d], sec[d], dims[d] = {}, {}, {}
         for e in sh.elements:
-            total = m.term(d).dims[e]
             img = incl.comp(d)[e]
             if rank(img) != img.ncols:
                 raise RuntimeError("quotient along a non-mono map")
-            imgb = column_space_basis(img)
-            aug = Matrix.hstack(fieldd, [imgb, Matrix.identity(fieldd, total)], nrows=total)
-            _, pivots = rref(aug)
-            rest = [p - imgb.ncols for p in pivots if p >= imgb.ncols]
-            basis = Matrix.hstack(fieldd, [imgb, Matrix.identity(fieldd, total).submatrix(range(total), rest)],
-                                  nrows=total)
-            inv = solve(basis, Matrix.identity(fieldd, total))
-            proj[d][e] = inv.submatrix(range(imgb.ncols, total), range(total))
-            sec[d][e] = Matrix.identity(fieldd, total).submatrix(range(total), rest)
-            dims[d][e] = total - imgb.ncols
+            proj[d][e], sec[d][e] = complement_projection(column_space_basis(img))
+            dims[d][e] = sec[d][e].ncols
     return proj, sec, dims
 
 
@@ -358,18 +280,13 @@ def _trim_retract(p: Complex, protect: List[ChainMap]) -> Tuple[Complex, ChainMa
         dim = p.term(d).dims[e]
         if dim == 0:
             continue
-        um = used_matrix(d)
-        aug = Matrix.hstack(fieldd, [um, Matrix.identity(fieldd, dim)], nrows=dim)
-        _, pivots = rref(aug)
-        pool_idx = [pv - um.ncols for pv in pivots if pv >= um.ncols]
+        eye = Matrix.identity(fieldd, dim)
+        pool_idx = complement_columns(used_matrix(d), eye)
         if not pool_idx:
             continue
-        pool = Matrix.identity(fieldd, dim).submatrix(range(dim), pool_idx)
+        pool = eye.submatrix(range(dim), pool_idx)
         imgs = p.diff(d)[e] @ pool
-        um_low = used_matrix(d - 1)
-        aug2 = Matrix.hstack(fieldd, [um_low, imgs], nrows=imgs.nrows)
-        _, piv2 = rref(aug2)
-        sel = [pv - um_low.ncols for pv in piv2 if pv >= um_low.ncols]
+        sel = complement_columns(used_matrix(d - 1), imgs)
         if not sel:
             continue
         s = pool.submatrix(range(dim), sel)
@@ -515,10 +432,8 @@ class ARDiagram:
     def restrict(self, q2: LineQuiver, embedding: Dict[int, Vertex]) -> Complex:
         """Restriction along a level-respecting embedding of q2."""
         vals = {v: self.values[embedding[v]] for v in q2.vertices}
-        arrs = {}
-        for (u, v) in q2.arrows():
-            arrs[(u, v)] = self.arrows[(embedding[u], embedding[v])]
-        return merge_to_complex(q2, vals, arrs, self.spectator)
+        arrs = {(u, v): self.arrows[(embedding[u], embedding[v])] for (u, v) in q2.arrows()}
+        return glue(q2.poset(), self.spectator, vals, arrs)
 
     # -- certificates ---------------------------------------------------------
 
@@ -604,10 +519,7 @@ def build_ar(q: LineQuiver, c: Complex, window: Optional[MeshWindow] = None,
     if any(emb[v] not in win for v in q.vertices):
         raise ValueError("window too small for the embedding")
     fieldd = c.field
-    sh = value_shape(spectator)
-
-    vals, arrs = split_by_vertex(q, c, spectator)
-    vals, arrs = stiffen(q, vals, arrs)
+    vals, arrs = stiffen(q, *split(c, q.poset(), spectator))
 
     values: Dict[Vertex, Complex] = {}
     arrows: Dict[Tuple[Vertex, Vertex], ChainMap] = {}
@@ -617,7 +529,7 @@ def build_ar(q: LineQuiver, c: Complex, window: Optional[MeshWindow] = None,
     for (u, v) in q.arrows():
         arrows[(emb[u], emb[v])] = arrs[(u, v)]
 
-    zeroc = Complex.zero(sh, fieldd)
+    zeroc = Complex.zero(spectator if spectator is not None else point_poset(), fieldd)
     for k in range(win.kmin, win.kmax + 1):
         values[(k, 0)] = zeroc
 
@@ -691,37 +603,7 @@ def build_ar(q: LineQuiver, c: Complex, window: Optional[MeshWindow] = None,
 def merge_window_complex(d: ARDiagram) -> Complex:
     """Assemble the vertexwise diagram into a single complex over the window
     poset (times the spectator shape, if any)."""
-    wposet = d.window.poset()
-    spec = d.spectator
-    shape = wposet if spec is None else wposet.product(spec)
-    fieldd = d.fieldspec
-    degs = sorted({deg for v in d.values.values() for deg in v.degrees()})
-    spec_elems = [()] if spec is None else list(spec.elements)
-
-    def key(v, r):
-        return v if spec is None else (v, r)
-
-    terms = {}
-    diffs: Dict[int, Dict] = {}
-    for deg in degs:
-        dims = {}
-        mats = {}
-        for v in d.window.vertices():
-            for r in spec_elems:
-                dims[key(v, r)] = d.values[v].term(deg).dims[r]
-        for (x, y) in shape.covers:
-            if spec is None:
-                vx, rx, vy, ry = x, (), y, ()
-            else:
-                (vx, rx), (vy, ry) = x, y
-            if vx == vy:
-                mats[(x, y)] = d.values[vx].term(deg).mats[(rx, ry)]
-            else:
-                mats[(x, y)] = d.arrows[(vx, vy)].comp(deg)[rx]
-        terms[deg] = Rep(shape, fieldd, dims, mats, validate=False)
-        diffs[deg] = {key(v, r): d.values[v].diff(deg)[r]
-                      for v in d.window.vertices() for r in spec_elems}
-    return Complex(shape, fieldd, terms, diffs, validate=False)
+    return glue(d.window.poset(), d.spectator, d.values, d.arrows)
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,13 @@ doubles as an independent oracle for the hereditary route.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
-from .derived import (ChainMap, Complex, DerivedObject, homology_rep,
-                      linear_dual_complex, normalize)
+from .derived import (ChainMap, Complex, homology_rep, linear_dual_complex, restrict,
+                      restrict_map)
 from .linalg import FieldSpec, Matrix
-from .rep import Rep, are_isomorphic, find_isomorphism
+from .rep import Rep, find_isomorphism
 from .shapes import LineQuiver, Poset, point_poset
 
 ShapeLike = Union[LineQuiver, Poset, None]
@@ -133,139 +132,22 @@ def linear_dual(m: Bimodule) -> Bimodule:
     """Entrywise vector-space dual with the two factors swapped."""
     dualc = linear_dual_complex(m.complex)  # over (L x R^op)^op = L^op x R
     target = bimodule_shape(m.right, m.left)  # R x L^op: swap coordinates
-
-    def relabel(e):
-        a, b = e
-        return (b, a)
-
-    terms = {}
-    for d in dualc.degrees():
-        t = dualc.term(d)
-        dims = {relabel(e): t.dims[e] for e in dualc.shape.elements}
-        mats = {}
-        for (x, y) in dualc.shape.covers:
-            mats[(relabel(x), relabel(y))] = t.mats[(x, y)]
-        terms[d] = Rep(target, m.complex.field, dims, mats, validate=False)
-    diffs = {}
-    for d in dualc.degrees():
-        phi = dualc.diffs.get(d)
-        if phi is not None:
-            diffs[d] = {relabel(e): phi[e] for e in dualc.shape.elements}
-    return Bimodule(m.right, m.left, Complex(target, m.complex.field, terms, diffs, validate=False))
+    return Bimodule(m.right, m.left, restrict(dualc, target, lambda e: (e[1], e[0])))
 
 
 def from_left_complex(q: ShapeLike, c: Complex) -> Bimodule:
     """View a plain complex over q as a bimodule over q x point^op."""
-    prod = bimodule_shape(q, None)
-    terms = {}
-    for d in c.degrees():
-        t = c.term(d)
-        dims = {(e, ()): t.dims[e] for e in c.shape.elements}
-        mats = {((a, ()), (b, ())): t.mats[(a, b)] for (a, b) in c.shape.covers}
-        terms[d] = Rep(prod, c.field, dims, mats, validate=False)
-    diffs = {d: {(e, ()): c.diff(d)[e] for e in c.shape.elements} for d in c.diffs}
-    return Bimodule(q, None, Complex(prod, c.field, terms, diffs, validate=False))
+    return Bimodule(q, None, restrict(c, bimodule_shape(q, None), lambda e: e[0]))
 
 
 def from_right_complex(q: ShapeLike, c: Complex) -> Bimodule:
     """View a complex over the opposite poset of q as a bimodule point x q^op."""
-    prod = bimodule_shape(None, q)
-    opp = as_poset(q).opposite()
-    terms = {}
-    for d in c.degrees():
-        t = c.term(d)
-        dims = {((), e): t.dims[e] for e in opp.elements}
-        mats = {(((), a), ((), b)): t.mats[(a, b)] for (a, b) in opp.covers}
-        terms[d] = Rep(prod, c.field, dims, mats, validate=False)
-    diffs = {d: {((), e): c.diff(d)[e] for e in opp.elements} for d in c.diffs}
-    return Bimodule(None, q, Complex(prod, c.field, terms, diffs, validate=False))
+    return Bimodule(None, q, restrict(c, bimodule_shape(None, q), lambda e: e[1]))
 
 
 def to_left_complex(m: Bimodule) -> Complex:
     """Inverse of from_left_complex (right shape must be the point)."""
-    base = as_poset(m.left)
-    c = m.complex
-    terms = {}
-    for d in c.degrees():
-        t = c.term(d)
-        dims = {a: t.dims[(a, ())] for a in base.elements}
-        mats = {(a, b): t.mats[((a, ()), (b, ()))] for (a, b) in base.covers}
-        terms[d] = Rep(base, c.field, dims, mats, validate=False)
-    diffs = {d: {a: c.diff(d)[(a, ())] for a in base.elements} for d in c.diffs}
-    return Complex(base, c.field, terms, diffs, validate=False)
-
-
-# ---------------------------------------------------------------------------
-# slices and external tensor product
-
-
-def right_slice(m: Bimodule, w) -> Complex:
-    """m(-, w) as a complex over the left poset."""
-    p = m.left_poset
-    c = m.complex
-    terms = {}
-    for d in c.degrees():
-        t = c.term(d)
-        dims = {a: t.dims[(a, w)] for a in p.elements}
-        mats = {(a, b): t.mats[((a, w), (b, w))] for (a, b) in p.covers}
-        terms[d] = Rep(p, c.field, dims, mats, validate=False)
-    diffs = {d: {a: c.diff(d)[(a, w)] for a in p.elements} for d in c.diffs}
-    return Complex(p, c.field, terms, diffs, validate=False)
-
-
-def left_slice(m: Bimodule, w) -> Complex:
-    """m(w, -) as a complex over the opposite of the right poset."""
-    p = m.right_poset.opposite()
-    c = m.complex
-    terms = {}
-    for d in c.degrees():
-        t = c.term(d)
-        dims = {b: t.dims[(w, b)] for b in p.elements}
-        mats = {(a, b): t.mats[((w, a), (w, b))] for (a, b) in p.covers}
-        terms[d] = Rep(p, c.field, dims, mats, validate=False)
-    diffs = {d: {b: c.diff(d)[(w, b)] for b in p.elements} for d in c.diffs}
-    return Complex(p, c.field, terms, diffs, validate=False)
-
-
-def right_action(m: Bimodule, u, v, slices: Dict) -> ChainMap:
-    """m(-, v) -> m(-, u) for u <= v in the middle poset (contravariant)."""
-    src, tgt = slices[v], slices[u]
-    p = m.left_poset
-    c = m.complex
-    comps = {}
-    for d in c.degrees():
-        t = c.term(d)
-        comps[d] = {a: t.path_map((a, v), (a, u)) for a in p.elements}
-    return ChainMap(src, tgt, comps)
-
-
-def left_action(n: Bimodule, u, v, slices: Dict) -> ChainMap:
-    """n(u, -) -> n(v, -) for u <= v in the middle poset (covariant)."""
-    src, tgt = slices[u], slices[v]
-    p = n.right_poset.opposite()
-    c = n.complex
-    comps = {}
-    for d in c.degrees():
-        t = c.term(d)
-        comps[d] = {b: t.path_map((u, b), (v, b)) for b in p.elements}
-    return ChainMap(src, tgt, comps)
-
-
-class GradedTensor:
-    """Helper holding the bigraded pieces of an external tensor product."""
-
-    def __init__(self, a: Complex, b: Complex, target: Poset):
-        self.a = a
-        self.b = b
-        self.target = target
-        self.field = a.field
-
-    def pairs(self, d: int) -> List[Tuple[int, int]]:
-        return [(i, d - i) for i in self.a.degrees() if (d - i) in set(self.b.degrees())]
-
-    def dims(self, d: int, e) -> int:
-        p, r = e
-        return sum(self.a.term(i).dims[p] * self.b.term(j).dims[r] for (i, j) in self.pairs(d))
+    return restrict(m.complex, as_poset(m.left), lambda a: (a, ()))
 
 
 # ---------------------------------------------------------------------------
@@ -317,28 +199,39 @@ def cancel_tensor(m: Bimodule, n: Bimodule, method: str = "auto") -> Bimodule:
     target = bimodule_shape(m.left, n.right)
     leftp, rightp = m.left_poset, n.right_poset.opposite()
 
-    mslices = {w: right_slice(m, w) for w in mid.elements}
-    nslices = {w: left_slice(n, w) for w in mid.elements}
+    # m(-, w) over the left poset and n(w, -) over the opposite right poset
+    mslices = {w: restrict(m.complex, leftp, lambda a, w=w: (a, w)) for w in mid.elements}
+    nslices = {w: restrict(n.complex, rightp, lambda b, w=w: (w, b)) for w in mid.elements}
     summands = _chain_summands(mid, method)
-    tensors = {ch: GradedTensor(mslices[ch[-1]], nslices[ch[0]], target)
-               for (_, ch) in summands}
+    # the external tensor m(-, ch[-1]) x n(ch[0], -) at each chain
+    tensors = {ch: (mslices[ch[-1]], nslices[ch[0]]) for (_, ch) in summands}
+
+    def pairs(ch: Tuple, d: int) -> List[Tuple[int, int]]:
+        a, b = tensors[ch]
+        return [(i, d - i) for i in a.degrees() if (d - i) in set(b.degrees())]
 
     # vertical maps between tensors induced by middle actions
     def face_map(ch: Tuple, i: int) -> Tuple[Tuple, Optional[ChainMap], Optional[ChainMap]]:
-        """Target chain and the (left, right) chain maps to apply."""
+        """Target chain and the (left, right) chain maps to apply: the
+        covariant action n(u, -) -> n(v, -) and the contravariant action
+        m(-, v) -> m(-, u) for u <= v."""
         k = len(ch) - 1
         if i == 0:
-            return ch[1:], None, left_action(n, ch[0], ch[1], nslices)
+            u, v = ch[0], ch[1]
+            return ch[1:], None, restrict_map(n.complex, nslices[u], nslices[v],
+                                              lambda b: (u, b), lambda b: (v, b))
         if i == k:
-            return ch[:-1], right_action(m, ch[-2], ch[-1], mslices), None
+            u, v = ch[-2], ch[-1]
+            return ch[:-1], restrict_map(m.complex, mslices[v], mslices[u],
+                                         lambda a: (a, v), lambda a: (a, u)), None
         return ch[:i] + ch[i + 1:], None, None
 
     # total complex ----------------------------------------------------------
     degs_all = set()
     for (k, ch) in summands:
-        t = tensors[ch]
-        for i in t.a.degrees():
-            for j in t.b.degrees():
+        a, b = tensors[ch]
+        for i in a.degrees():
+            for j in b.degrees():
                 degs_all.add(i + j + k)
     if not degs_all:
         return Bimodule(m.left, n.right, Complex.zero(target, field))
@@ -353,10 +246,10 @@ def cancel_tensor(m: Bimodule, n: Bimodule, method: str = "auto") -> Bimodule:
             t = 0
             loc = {}
             for (k, ch) in summands:
-                gt = tensors[ch]
-                for (i, j) in gt.pairs(d - k):
+                a, b = tensors[ch]
+                for (i, j) in pairs(ch, d - k):
                     p, r = e
-                    sz = gt.a.term(i).dims[p] * gt.b.term(j).dims[r]
+                    sz = a.term(i).dims[p] * b.term(j).dims[r]
                     if sz:
                         loc[(k, ch, i, j)] = (t, sz)
                         t += sz
@@ -381,13 +274,11 @@ def cancel_tensor(m: Bimodule, n: Bimodule, method: str = "auto") -> Bimodule:
                 if key not in offs[e2]:
                     continue
                 r0, rsz = offs[e2][key]
-                gt = tensors[ch]
+                a, b = tensors[ch]
                 if p1 == p2:
-                    blk = Matrix.identity(field, gt.a.term(i).dims[p1]).kron(
-                        gt.b.term(j).mats[(r1, r2)])
+                    blk = Matrix.identity(field, a.term(i).dims[p1]).kron(b.term(j).mats[(r1, r2)])
                 else:
-                    blk = gt.a.term(i).mats[(p1, p2)].kron(
-                        Matrix.identity(field, gt.b.term(j).dims[r1]))
+                    blk = a.term(i).mats[(p1, p2)].kron(Matrix.identity(field, b.term(j).dims[r1]))
                 bb = blk.rows()
                 for rr in range(blk.nrows):
                     for cc in range(blk.ncols):
@@ -413,17 +304,17 @@ def cancel_tensor(m: Bimodule, n: Bimodule, method: str = "auto") -> Bimodule:
 
             for (key, (c0, csz)) in offs_s[e].items():
                 k, ch, i, j = key
-                gt = tensors[ch]
-                ai = gt.a.term(i).dims[p]
-                bj = gt.b.term(j).dims[r]
+                a, b = tensors[ch]
+                ai = a.term(i).dims[p]
+                bj = b.term(j).dims[r]
                 # internal differential: dA (x) id
                 tkey = (k, ch, i - 1, j)
                 if tkey in offs_t[e]:
-                    put(offs_t[e][tkey][0], c0, gt.a.diff(i)[p].kron(Matrix.identity(field, bj)))
+                    put(offs_t[e][tkey][0], c0, a.diff(i)[p].kron(Matrix.identity(field, bj)))
                 # internal: (-1)^i id (x) dB
                 tkey = (k, ch, i, j - 1)
                 if tkey in offs_t[e]:
-                    blk = Matrix.identity(field, ai).kron(gt.b.diff(j)[r])
+                    blk = Matrix.identity(field, ai).kron(b.diff(j)[r])
                     put(offs_t[e][tkey][0], c0, blk if i % 2 == 0 else -blk)
                 # bar faces with the (-1)^(i+j) total-complex twist
                 mdeg = i + j

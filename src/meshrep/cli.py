@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import Optional
 
 import click
 
@@ -18,9 +17,8 @@ from .bimod import (bar_tensor_oracle, cancel_tensor, duality_module,
 from .derived import Complex, normalize
 from .linalg import GF, QQ, FieldSpec
 from .rep import interval_module
-from .functors import coxeter_minus, coxeter_plus, reflect_minus, reflect_plus, serre, transport
-from .serialize import (bimodule_to_json, complex_from_json, complex_to_json,
-                        dumps, rep_from_json)
+from .functors import coxeter_plus, reflect_minus, reflect_plus, serre, transport
+from .serialize import complex_from_json, complex_to_json, dumps, rep_from_json
 from .shapes import LineQuiver, MeshWindow
 from .suites import ALL_SUITES, run_seed
 from . import tilting as tiltmod
@@ -30,7 +28,10 @@ def _field(name: str) -> FieldSpec:
     if name in ("Q", "QQ", "rationals"):
         return QQ
     if name.startswith("F"):
-        return GF(int(name[1:]))
+        try:
+            return GF(int(name[1:]))
+        except ValueError as err:
+            raise click.UsageError(f"bad field {name!r}: {err}")
     raise click.UsageError(f"unknown field {name!r} (use Q or F<p>)")
 
 
@@ -70,7 +71,6 @@ def main():
               help="JSON rep/complex; defaults to reading stdin")
 def decompose(quiver, field, input_path):
     """Interval decomposition of a representation."""
-    from .rep import decompose as dec
     q = _quiver(quiver)
     f = _field(field)
     if input_path:

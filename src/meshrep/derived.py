@@ -8,16 +8,14 @@ phi: X -> Y has differential [[-d_X, 0], [phi, d_Y]].
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-import numpy as np
-
-from .linalg import FieldSpec, Matrix, column_space_basis, is_invertible, kernel_basis, rank, rref, solve
-from .rep import (Interval, Rep, decompose, ext1_dim, hom_dim, hom_space,
-                  interval_module, direct_sum)
-from .shapes import Element, LineQuiver, Poset
+from .linalg import (FieldSpec, Matrix, column_space_basis, complement_columns, kernel_basis,
+                     rank, solve)
+from .linalg import rref  # noqa: F401  perfbench checks that its tracer wraps this binding
+from .rep import Interval, Rep, decompose, hom_dim, interval_module, direct_sum
+from .shapes import Element, LineQuiver, Poset, point_poset
 
 RepMap = Dict[Element, Matrix]
 
@@ -239,27 +237,100 @@ def fiber_projection(phi: ChainMap) -> ChainMap:
 
 
 # ---------------------------------------------------------------------------
+# restriction along maps of shapes, and gluing vertexwise diagrams
+
+
+def restrict(c: Complex, shape: Poset, at: Callable[[Element], Element]) -> Complex:
+    """at^* c: the complex over shape whose value at e is the value of c at
+    at(e).  at must send covers of shape to covers of c.shape; only the
+    stored differentials of c are carried over."""
+    terms = {}
+    for d in c.degrees():
+        t = c.term(d)
+        terms[d] = Rep(shape, c.field, {e: t.dims[at(e)] for e in shape.elements},
+                       {(a, b): t.mats[(at(a), at(b))] for (a, b) in shape.covers},
+                       validate=False)
+    diffs = {d: {e: phi[at(e)] for e in shape.elements} for d, phi in c.diffs.items()}
+    return Complex(shape, c.field, terms, diffs, validate=False)
+
+
+def restrict_map(c: Complex, src: Complex, tgt: Complex, at_src: Callable[[Element], Element],
+                 at_tgt: Callable[[Element], Element]) -> ChainMap:
+    """The chain map between the restrictions src = at_src^* c and
+    tgt = at_tgt^* c given by the maps at_src(e) -> at_tgt(e) of c.shape."""
+    return ChainMap(src, tgt, {d: {e: c.term(d).path_map(at_src(e), at_tgt(e))
+                                   for e in src.shape.elements}
+                               for d in c.degrees()})
+
+
+def vertex_key(v, r, spec: Optional[Poset]):
+    """The element over vertex v and spectator element r of base x spec
+    (of base itself when there is no spectator)."""
+    return v if spec is None else (v, r)
+
+
+def split(c: Complex, base: Poset, spec: Optional[Poset]) -> Tuple[Dict, Dict]:
+    """(values, arrows) of a complex over base x spec (over base when spec is
+    None): the complex over spec (over the point) at each vertex of base and
+    the chain map along each cover of base."""
+    sh = spec if spec is not None else point_poset()
+    values = {v: restrict(c, sh, lambda r, v=v: vertex_key(v, r, spec)) for v in base.elements}
+    arrows = {(u, v): restrict_map(c, values[u], values[v], lambda r, u=u: vertex_key(u, r, spec),
+                                   lambda r, v=v: vertex_key(v, r, spec))
+              for (u, v) in base.covers}
+    return values, arrows
+
+
+def glue(base: Poset, spec: Optional[Poset], values: Dict, arrows: Dict) -> Complex:
+    """Inverse of split: one complex over base x spec (over base when spec is
+    None) from the complexes at the vertices of base and the chain maps along
+    its covers."""
+    shape = base if spec is None else base.product(spec)
+    spec_elems = [()] if spec is None else spec.elements
+    field = next(iter(values.values())).field
+    degs = sorted({d for val in values.values() for d in val.degrees()})
+    terms = {}
+    diffs: Dict[int, RepMap] = {}
+    for d in degs:
+        dims = {vertex_key(v, r, spec): values[v].term(d).dims[r]
+                for v in base.elements for r in spec_elems}
+        mats = {}
+        for (x, y) in shape.covers:
+            (vx, rx), (vy, ry) = ((x, ()), (y, ())) if spec is None else (x, y)
+            if vx == vy:
+                mats[(x, y)] = values[vx].term(d).mats[(rx, ry)]
+            else:
+                mats[(x, y)] = arrows[(vx, vy)].comp(d)[rx]
+        terms[d] = Rep(shape, field, dims, mats, validate=False)
+        diffs[d] = {}
+        for v in base.elements:
+            phi = values[v].diff(d)
+            for r in spec_elems:
+                diffs[d][vertex_key(v, r, spec)] = phi[r]
+    return Complex(shape, field, terms, diffs, validate=False)
+
+
+# ---------------------------------------------------------------------------
 # homology
+
+
+def homology_basis(lo: Matrix, hi: Matrix) -> Tuple[Matrix, Matrix]:
+    """(boundaries, representatives) at one element, for lo = d_d and
+    hi = d_{d+1}: a basis of im(hi), and the kernel-basis columns of lo that
+    extend it to a basis of the cycles."""
+    z = kernel_basis(lo)
+    b = column_space_basis(hi)
+    return b, z.submatrix(range(z.nrows), complement_columns(b, z))
 
 
 def homology_rep(c: Complex, d: int) -> Rep:
     """H_d(c) as a Rep, with induced structure maps."""
     field, shape = c.field, c.shape
-    zin: Dict[Element, Matrix] = {}
     bnd: Dict[Element, Matrix] = {}
     reps: Dict[Element, Matrix] = {}
-    dims: Dict[Element, int] = {}
     lo, hi = c.diff(d), c.diff(d + 1)
     for e in shape.elements:
-        z = kernel_basis(lo[e])              # cycles, as columns in C_d
-        b = column_space_basis(hi[e])        # boundaries
-        # choose homology representatives: pivot columns of z beyond im(b)
-        aug = Matrix.hstack(field, [b, z], nrows=c.term(d).dims[e])
-        _, pivots = rref(aug)
-        rest = [p - b.ncols for p in pivots if p >= b.ncols]
-        r = z.submatrix(range(z.nrows), rest)
-        zin[e], bnd[e], reps[e] = z, b, r
-        dims[e] = r.ncols
+        bnd[e], reps[e] = homology_basis(lo[e], hi[e])
     mats = {}
     for (a, b2) in shape.covers:
         img = c.term(d).mats[(a, b2)] @ reps[a]
@@ -268,8 +339,9 @@ def homology_rep(c: Complex, d: int) -> Rep:
         sol = solve(basis, img)
         if sol is None:
             raise RuntimeError("homology structure map failed (cycle not in span)")
-        mats[(a, b2)] = sol.submatrix(range(bnd[b2].ncols, bnd[b2].ncols + dims[b2]), range(img.ncols))
-    return Rep(shape, field, dims, mats, validate=False)
+        mats[(a, b2)] = sol.submatrix(range(bnd[b2].ncols, bnd[b2].ncols + reps[b2].ncols),
+                                      range(img.ncols))
+    return Rep(shape, field, {e: reps[e].ncols for e in shape.elements}, mats, validate=False)
 
 
 def homology_dims(c: Complex, e: Element) -> Dict[int, int]:

@@ -10,17 +10,13 @@ the spectator is trivial).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .derived import ChainMap, Complex, DerivedObject, minimize, normalize
+from .derived import ChainMap, Complex, DerivedObject, minimize, normalize, vertex_key
 from .linalg import FieldSpec, Matrix
 from .rep import Rep
 from .shapes import (LineQuiver, Poset, admissible_sequence, admissible_source_sequence,
                      embed_iQ, reflection_path)
-
-
-def _key(v, r, spectator: Optional[Poset]):
-    return v if spectator is None else (v, r)
 
 
 def _spec_elems(spectator: Optional[Poset]):
@@ -32,10 +28,6 @@ def quiver_shape(q: LineQuiver, spectator: Optional[Poset]) -> Poset:
     if spectator is None:
         return base
     return base.product(spectator)
-
-
-def _vertex_dims(c: Complex, v, spectator, d) -> Dict:
-    return {r: c.term(d).dims[_key(v, r, spectator)] for r in _spec_elems(spectator)}
 
 
 def reflect_plus_obj(q: LineQuiver, a: int, c: Complex,
@@ -73,7 +65,7 @@ def _reflect_core(q: LineQuiver, q2: LineQuiver, a: int, c: Complex,
     rng = range(lo - 1, hi + 2)
 
     def dims_at(d, v, r):
-        return c.term(d).dims[_key(v, r, spectator)]
+        return c.term(d).dims[vertex_key(v, r, spectator)]
 
     def new_dims(d, v, r):
         if v != a:
@@ -96,7 +88,7 @@ def _reflect_core(q: LineQuiver, q2: LineQuiver, a: int, c: Complex,
         dims = {}
         for v in q.vertices:
             for r in _spec_elems(spectator):
-                dims[_key(v, r, spectator)] = new_dims(d, v, r)
+                dims[vertex_key(v, r, spectator)] = new_dims(d, v, r)
         mats = {}
         for (x, y) in shape2.covers:
             if spectator is None:
@@ -137,7 +129,7 @@ def _reflect_core(q: LineQuiver, q2: LineQuiver, a: int, c: Complex,
         phi = {}
         for v in q.vertices:
             for r in _spec_elems(spectator):
-                key = _key(v, r, spectator)
+                key = vertex_key(v, r, spectator)
                 if v != a:
                     phi[key] = c.diff(d)[key]
                 else:
@@ -147,7 +139,7 @@ def _reflect_core(q: LineQuiver, q2: LineQuiver, a: int, c: Complex,
 
 
 def _arrow_map(c: Complex, d: int, src, tgt, spectator, r) -> Matrix:
-    return c.term(d).mats[(_key(src, r, spectator), _key(tgt, r, spectator))]
+    return c.term(d).mats[(vertex_key(src, r, spectator), vertex_key(tgt, r, spectator))]
 
 
 def _a_block_spec_map(c: Complex, q: LineQuiver, a: int, nbrs, d: int, rx, ry,
@@ -163,7 +155,7 @@ def _a_block_spec_map(c: Complex, q: LineQuiver, a: int, nbrs, d: int, rx, ry,
             v, dd = a, d - 1
         else:
             v, dd = nbrs[slot - 1], d
-    return c.term(dd).mats[(_key(v, rx, spectator), _key(v, ry, spectator))]
+    return c.term(dd).mats[(vertex_key(v, rx, spectator), vertex_key(v, ry, spectator))]
 
 
 def _a_diff_block(c: Complex, q: LineQuiver, a: int, nbrs, signs, d: int, r,
@@ -171,7 +163,7 @@ def _a_diff_block(c: Complex, q: LineQuiver, a: int, nbrs, signs, d: int, r,
     field = c.field
 
     def dims_at(dd, v):
-        return c.term(dd).dims[_key(v, r, spectator)]
+        return c.term(dd).dims[vertex_key(v, r, spectator)]
 
     if plus:
         # fib_d = (+)X_b_d  +  X_a_{d+1};  d(u, v) = (d u, -psi(u) - d v)
@@ -180,23 +172,23 @@ def _a_diff_block(c: Complex, q: LineQuiver, a: int, nbrs, signs, d: int, r,
         grid = []
         for i, b in enumerate(nbrs):
             row = [None] * (len(nbrs) + 1)
-            row[i] = c.diff(d)[_key(b, r, spectator)]
+            row[i] = c.diff(d)[vertex_key(b, r, spectator)]
             grid.append(row)
         last = []
         for i, b in enumerate(nbrs):
             m = _arrow_map(c, d, b, a, spectator, r)
             last.append(m.scale(-signs[b]))
-        last.append(-c.diff(d + 1)[_key(a, r, spectator)])
+        last.append(-c.diff(d + 1)[vertex_key(a, r, spectator)])
         grid.append(last)
         return Matrix.block(field, grid, rows, cols)
     # cone_d = X_a_{d-1} + (+)X_b_d; d(x, u) = (-d x, psi(x) + d u)
     rows = [dims_at(d - 2, a)] + [dims_at(d - 1, b) for b in nbrs]
     cols = [dims_at(d - 1, a)] + [dims_at(d, b) for b in nbrs]
-    grid = [[-c.diff(d - 1)[_key(a, r, spectator)]] + [None] * len(nbrs)]
+    grid = [[-c.diff(d - 1)[vertex_key(a, r, spectator)]] + [None] * len(nbrs)]
     for i, b in enumerate(nbrs):
         m = _arrow_map(c, d - 1, a, b, spectator, r)
         row = [m.scale(signs[b])] + [None] * len(nbrs)
-        row[1 + i] = c.diff(d)[_key(b, r, spectator)]
+        row[1 + i] = c.diff(d)[vertex_key(b, r, spectator)]
         grid.append(row)
     return Matrix.block(field, grid, rows, cols)
 
@@ -214,16 +206,16 @@ def reflect_map(q: LineQuiver, a: int, phi: ChainMap,
         comp = {}
         for v in q.vertices:
             for r in _spec_elems(spectator):
-                key = _key(v, r, spectator)
+                key = vertex_key(v, r, spectator)
                 if v != a:
                     comp[key] = phi.comp(d)[key]
                 else:
                     if plus:
-                        parts = [phi.comp(d)[_key(b, r, spectator)] for b in nbrs] \
-                            + [phi.comp(d + 1)[_key(a, r, spectator)]]
+                        parts = [phi.comp(d)[vertex_key(b, r, spectator)] for b in nbrs] \
+                            + [phi.comp(d + 1)[vertex_key(a, r, spectator)]]
                     else:
-                        parts = [phi.comp(d - 1)[_key(a, r, spectator)]] \
-                            + [phi.comp(d)[_key(b, r, spectator)] for b in nbrs]
+                        parts = [phi.comp(d - 1)[vertex_key(a, r, spectator)]] \
+                            + [phi.comp(d)[vertex_key(b, r, spectator)] for b in nbrs]
                     dims_r = [p.nrows for p in parts]
                     dims_c = [p.ncols for p in parts]
                     grid = [[parts[i] if i == j else None for j in range(len(parts))]
@@ -283,10 +275,6 @@ def tau(q: LineQuiver, c: Complex, spectator: Optional[Poset] = None) -> Complex
     return coxeter_plus(q, c, spectator)
 
 
-def tau_minus(q: LineQuiver, c: Complex, spectator: Optional[Poset] = None) -> Complex:
-    return coxeter_minus(q, c, spectator)
-
-
 def serre(q: LineQuiver, c: Complex, spectator: Optional[Poset] = None) -> Complex:
     """S = Sigma . Phi^+."""
     return coxeter_plus(q, c, spectator).shift(1)
@@ -342,12 +330,6 @@ def transport_embedding(q: LineQuiver, q2: LineQuiver) -> Dict[int, Tuple[int, i
 
 
 # -- normalized functors on canonical forms ---------------------------------
-
-
-def functor_on_object(q: LineQuiver, obj: DerivedObject, fn: Callable[[Complex], Complex],
-                      field: FieldSpec) -> DerivedObject:
-    from .derived import object_complex
-    return normalize(q, fn(object_complex(q, obj, field)))
 
 
 def serre_on_object(q: LineQuiver, obj: DerivedObject, field: FieldSpec,

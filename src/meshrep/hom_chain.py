@@ -10,9 +10,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from .derived import ChainMap, Complex, DerivedObject, object_complex
-from .linalg import FieldSpec, Matrix, kernel_basis, rank, rref, solve
+from .linalg import FieldSpec, Matrix, kernel_basis, rank
 from .rep import Rep, interval_module
-from .shapes import LineQuiver, Poset
+from .shapes import LineQuiver
 
 
 def projective_resolution(q: LineQuiver, x: Rep) -> Tuple[Rep, Rep, Dict, Dict]:

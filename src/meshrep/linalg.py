@@ -11,11 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 DEFAULT_PRIME = 32003  # large enough that random invertibility searches succeed
+# int64 products stay exact: k (p-1)^2 < 2^63 for every inner dimension k < 2^31
+MAX_PRIME = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -27,6 +29,9 @@ class FieldSpec:
 
     def __post_init__(self):
         if self.kind == "Fp":
+            if self.p is not None and self.p >= MAX_PRIME:
+                raise ValueError(f"characteristic must be below 2^16 = {MAX_PRIME} "
+                                 f"so that int64 arithmetic is exact, got {self.p}")
             if self.p is None or self.p < 2 or not _is_prime(self.p):
                 raise ValueError(f"characteristic must be prime, got {self.p}")
         elif self.kind != "Q":
@@ -402,6 +407,24 @@ def solve(m: Matrix, b: Matrix) -> Optional[Matrix]:
         for j in range(b.ncols):
             xs[pc][j] = r[i, m.ncols + j]
     return Matrix.from_rows(field, xs) if m.ncols else Matrix.zeros(field, 0, b.ncols)
+
+
+def complement_columns(sub: Matrix, cand: Matrix) -> List[int]:
+    """Indices of the columns of cand that extend span(sub) to span([sub | cand]):
+    the pivots of rref([sub | cand]) beyond the sub block."""
+    _, pivots = rref(Matrix.hstack(sub.field, [sub, cand], nrows=sub.nrows))
+    return [p - sub.ncols for p in pivots if p >= sub.ncols]
+
+
+def complement_projection(sub: Matrix) -> Tuple[Matrix, Matrix]:
+    """(proj, sec) for the quotient by span(sub), sub of full column rank:
+    sec includes the complement spanned by the unit vectors that extend sub,
+    and proj projects onto it along span(sub)."""
+    n = sub.nrows
+    eye = Matrix.identity(sub.field, n)
+    sec = eye.submatrix(range(n), complement_columns(sub, eye))
+    inv = solve(Matrix.hstack(sub.field, [sub, sec], nrows=n), eye)
+    return inv.submatrix(range(sub.ncols, n), range(n)), sec
 
 
 def column_space_basis(m: Matrix) -> Matrix:

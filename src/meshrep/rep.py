@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .linalg import (FieldSpec, Matrix, column_space_basis, inverse, is_invertible,
-                     kernel_basis, rank, rref, solve)
+from .linalg import (FieldSpec, Matrix, column_space_basis, complement_projection, inverse,
+                     is_invertible, kernel_basis, rank)
 from .shapes import Element, LineQuiver, Poset
 
 Cover = Tuple[Element, Element]
@@ -60,6 +60,8 @@ class Rep:
             raise ValueError(f"no morphism {a} -> {b}")
         if a == b:
             return Matrix.identity(self.field, self.dims[a])
+        if (a, b) in self.mats:
+            return self.mats[(a, b)]
         succ = {}
         for (u, v) in self.shape.covers:
             succ.setdefault(u, []).append(v)
@@ -268,10 +270,6 @@ def hom_dim(x: Rep, y: Rep) -> int:
     return len(hom_space(x, y))
 
 
-def apply_hom(phi: Dict[Element, Matrix], e: Element) -> Matrix:
-    return phi[e]
-
-
 def euler_form(q: LineQuiver, dx: Dict[int, int], dy: Dict[int, int]) -> int:
     """<dim x, dim y> = sum_v x_v y_v - sum_{arrows u->v} x_u y_v."""
     total = sum(dx[v] * dy[v] for v in q.vertices)
@@ -346,19 +344,8 @@ def _colimit(rep: Rep, elements: Sequence[Element]) -> Tuple[Matrix, Dict[Elemen
         rel = Matrix.zeros(field, total, 0)
     else:
         rel = Matrix.from_rows(field, [list(r) for r in zip(*cols)]) if total else Matrix.zeros(field, 0, len(cols))
-    # quotient total / im(rel): complete a basis of im(rel) to the full space
-    img = column_space_basis(rel)
-    aug = Matrix.hstack(field, [img, Matrix.identity(field, total)], nrows=total)
-    _, pivots = rref(aug)
-    rest = [p - img.ncols for p in pivots if p >= img.ncols]
-    # rows of the projection: solve [img | chosen] coordinates; easier: the
-    # projection onto the chosen complement along im(rel)
-    basis_cols = Matrix.hstack(field, [img, Matrix.identity(field, total).submatrix(range(total), rest)],
-                               nrows=total)
-    inv = solve(basis_cols, Matrix.identity(field, total))
-    proj = inv.submatrix(range(img.ncols, img.ncols + len(rest)), range(total)) if inv is not None else None
-    if proj is None:
-        raise RuntimeError("colimit basis completion failed")
+    # quotient total / im(rel): project onto a complement of im(rel)
+    proj, _ = complement_projection(column_space_basis(rel))
     return proj, offs
 
 
@@ -462,14 +449,6 @@ def find_isomorphism(x: Rep, y: Rep, seed: int = 0, tries: int = 40) -> Optional
             if invertible(phi):
                 return phi
     return None
-
-
-def are_isomorphic(x: Rep, y: Rep, seed: int = 0) -> bool:
-    if x.dims != y.dims:
-        return False
-    if hom_dim(x, y) != hom_dim(y, x):
-        return False
-    return find_isomorphism(x, y, seed=seed) is not None
 
 
 # ---------------------------------------------------------------------------

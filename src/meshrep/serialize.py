@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
 
-from .bimod import Bimodule, bimodule_shape
+from .bimod import Bimodule
 from .derived import Complex
 from .linalg import GF, QQ, FieldSpec, Matrix
 from .rep import Rep
@@ -144,7 +143,7 @@ def bimodule_from_json(d) -> Bimodule:
         if s["kind"] == "point":
             return None
         if s["kind"] == "line":
-            return LineQuiver(s["n"], s["orientation"])
+            return quiver_from_json(s)
         return shape_from_json(s)
 
     return Bimodule(side(d["left"]), side(d["right"]), complex_from_json(d["complex"]))

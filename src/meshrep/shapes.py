@@ -9,8 +9,7 @@ vertices, so order-theoretic reachability captures the whole category.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 Element = object  # hashable labels; products use tuples
@@ -272,10 +271,6 @@ def mesh_map_f_inv(n: int, v: Tuple[int, int]) -> Tuple[int, int]:
 
 def mesh_leq(a: Tuple[int, int], b: Tuple[int, int]) -> bool:
     return a[0] <= b[0] and a[0] + a[1] <= b[0] + b[1]
-
-
-def is_boundary(n: int, v: Tuple[int, int]) -> bool:
-    return v[1] in (0, n + 1)
 
 
 def boundary_between(n: int, a: Tuple[int, int], b: Tuple[int, int]) -> bool:

@@ -12,26 +12,19 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .armesh import (build_ar, check_flip_sigma, check_mesh_relations,
-                     mesh_hom_table, mesh_object, suspension_orbits)
+from .armesh import build_ar, check_flip_sigma, check_mesh_relations
 from .bimod import (Bimodule, bar_tensor_oracle, bimodules_quasi_isomorphic,
                     cancel_tensor, duality_module, from_left_complex,
                     identity_prof, to_left_complex)
-from .derived import (ChainMap, Complex, DerivedObject, derived_hom_dim,
-                      normalize, object_complex)
+from .derived import Complex, DerivedObject, derived_hom_dim, normalize
 from .linalg import GF, QQ, FieldSpec
-from .rep import (Interval, all_intervals, assemble, decompose, interval_module,
-                  random_interval_sum)
-from .functors import (coxeter_minus, coxeter_plus, reflect_minus, reflect_plus,
-                       serre, transport, untransport)
-from .shapes import (LineQuiver, MeshWindow, all_orientations, default_window,
-                     embed_iQ, is_admissible_sequence, mesh_map_f)
-from .tilting import (apr_tilt, apply_bimodule, ar_constructor,
-                      ar_constructor_restriction, coxeter_bimodule, iter_tilt,
-                      picard_check, serre_bimodule, square_d4_bimodule,
-                      square_d4_inverse, square_d4_pattern_matches,
-                      tilting_check, yoneda_restriction_is_identity,
-                      yoneda_serre_twist_holds, yoneda_window)
+from .rep import Interval, all_intervals, decompose, interval_module, random_interval_sum
+from .functors import coxeter_plus, reflect_minus, reflect_plus, serre, transport
+from .shapes import LineQuiver, MeshWindow, all_orientations, embed_iQ, is_admissible_sequence
+from .tilting import (apr_tilt, apply_bimodule, iter_tilt, picard_check, serre_bimodule,
+                      square_d4_bimodule, square_d4_inverse, square_d4_pattern_matches,
+                      tilting_check, yoneda_restriction_is_identity, yoneda_serre_twist_holds,
+                      yoneda_window)
 
 DEFAULT_SEED = 20260810
 
@@ -55,10 +48,6 @@ class Report:
         extra = f"  [first counterexample: {self.counterexample}]" if (
             self.counterexample and not self.passed) else ""
         return f"[{status}] {self.name}: {self.detail}{extra}"
-
-
-def _ind_objects(n: int) -> List[DerivedObject]:
-    return [DerivedObject.from_dict({(0, itv): 1}) for itv in all_intervals(n)]
 
 
 def _serre_table(q: LineQuiver, field: FieldSpec) -> Dict[Interval, Tuple[int, Interval]]:
@@ -469,9 +458,8 @@ def suite_yoneda(seed: int = DEFAULT_SEED, nmax: int = 4) -> Report:
 
 def suite_stc(seed: int = DEFAULT_SEED, samples: int = 100,
               ns: Tuple[int, ...] = (2, 3, 4)) -> Report:
-    from .highertri import (extend_morphism, fill_base, flip, flip_without_sign,
-                            inverse_image, is_distinguished, standard_triangle,
-                            translate)
+    from .highertri import (extend_morphism, flip, flip_without_sign, inverse_image,
+                            is_distinguished, standard_triangle, translate)
     from .linalg import Matrix
     field = GF()
     rng = np.random.default_rng(seed + 13)
@@ -534,23 +522,6 @@ def _zero_base_map(s, t):
     return out
 
 
-ALL_SUITES: Dict[str, Callable[..., Report]] = {
-    "census": suite_census,
-    "ar": suite_ar,
-    "reflections": suite_reflections,
-    "frac-cy": suite_frac_cy,
-    "serre-duality": suite_serre_duality,
-    "nakayama": suite_nakayama,
-    "kernels": suite_kernels,
-    "golden": suite_golden,
-    "tilting": suite_tilting,
-    "picard": suite_picard,
-    "mesh": suite_mesh,
-    "yoneda": suite_yoneda,
-    "stc": suite_stc,
-}
-
-
 def suite_d4_square(seed: int = DEFAULT_SEED) -> Report:
     """Extra suite: invertibility of the explicit square<->D4 bimodule."""
     from .tilting import d4_poset, square_poset
@@ -565,7 +536,22 @@ def suite_d4_square(seed: int = DEFAULT_SEED) -> Report:
                   "explicit square<->D4 bimodule matches the displayed pattern and is invertible")
 
 
-ALL_SUITES["d4-square"] = suite_d4_square
+ALL_SUITES: Dict[str, Callable[..., Report]] = {
+    "census": suite_census,
+    "ar": suite_ar,
+    "reflections": suite_reflections,
+    "frac-cy": suite_frac_cy,
+    "serre-duality": suite_serre_duality,
+    "nakayama": suite_nakayama,
+    "kernels": suite_kernels,
+    "golden": suite_golden,
+    "tilting": suite_tilting,
+    "picard": suite_picard,
+    "mesh": suite_mesh,
+    "yoneda": suite_yoneda,
+    "stc": suite_stc,
+    "d4-square": suite_d4_square,
+}
 
 CRITERION_TO_SUITE = {
     1: "census", 2: "ar", 3: "reflections", 4: "frac-cy", 5: "serre-duality",

@@ -9,21 +9,18 @@ then reproduce the functor on every object, which the test suites check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from .armesh import ARDiagram, build_ar, mesh_object
-from .bimod import (Bimodule, bimodule_shape, bimodules_quasi_isomorphic,
-                    cancel_tensor, duality_module, from_left_complex,
-                    identity_prof, to_left_complex)
-from .derived import (ChainMap, Complex, DerivedObject, derived_hom_graded,
-                      normalize, object_complex)
+from .bimod import (Bimodule, bimodules_quasi_isomorphic, cancel_tensor, duality_module,
+                    from_left_complex, identity_prof, to_left_complex)
+from .derived import (ChainMap, Complex, DerivedObject, derived_hom_graded, glue,
+                      normalize, restrict, restrict_map, split)
 from .linalg import FieldSpec, Matrix
-from .rep import Rep, all_intervals, simple
-from .functors import (coxeter_minus, coxeter_plus, reflect_minus_obj,
-                       reflect_plus_obj, serre_on_object, transport)
-from .shapes import (LineQuiver, MeshWindow, Poset, admissible_sequence,
-                     admissible_source_sequence, embed_iQ, mesh_map_s,
-                     reflection_path)
+from .rep import all_intervals, simple
+from .functors import (coxeter_minus, coxeter_plus, reflect_minus_obj, reflect_plus_obj,
+                       serre_on_object)
+from .shapes import LineQuiver, MeshWindow, Poset, embed_iQ, mesh_map_s, reflection_path
 
 
 def _spectator(q: LineQuiver) -> Poset:
@@ -122,14 +119,6 @@ def yoneda_window(q: LineQuiver, window: MeshWindow) -> Dict[Tuple, Dict[int, in
     return out
 
 
-def yoneda_table_csv(table: Dict[Tuple, Dict[int, int]]) -> str:
-    lines = ["u_k,u_l,v_k,v_l,degree,dim"]
-    for (u, v) in sorted(table):
-        for deg, dim in sorted(table[(u, v)].items()):
-            lines.append(f"{u[0]},{u[1]},{v[0]},{v[1]},{deg},{dim}")
-    return "\n".join(lines) + "\n"
-
-
 def yoneda_restriction_is_identity(q: LineQuiver, table: Dict[Tuple, Dict[int, int]]) -> bool:
     emb = embed_iQ(q)
     p = q.poset()
@@ -178,7 +167,8 @@ def tilting_check(t: Bimodule, field: FieldSpec,
     invertibility against a candidate inverse bimodule."""
     ql: LineQuiver = t.left
     qr: LineQuiver = t.right
-    cols = {b: normalize(ql, _column(t, b)) for b in qr.vertices}
+    cols = {b: normalize(ql, restrict(t.complex, t.left_poset, lambda a: (a, b)))
+            for b in qr.vertices}
     # perfect: bounded complex with finite-dimensional entries
     perfect = all(c.total_dim() < 10 ** 9 for c in cols.values())
     # rigid: derived self-hom concentrated in degree 0
@@ -201,11 +191,6 @@ def tilting_check(t: Bimodule, field: FieldSpec,
         invertible = (bimodules_quasi_isomorphic(one_side, identity_prof(qr, field))
                       and bimodules_quasi_isomorphic(other_side, identity_prof(ql, field)))
     return TiltingReport(perfect, rigid, generator, invertible)
-
-
-def _column(t: Bimodule, b) -> Complex:
-    from .bimod import right_slice
-    return right_slice(t, b)
 
 
 # ---------------------------------------------------------------------------
@@ -313,19 +298,16 @@ def square_d4_bimodule(field: FieldSpec) -> Bimodule:
     x, y, z, w = (0, 0), (1, 0), (0, 1), (1, 1)
     iq = identity_prof(sq, field)
     spec = sq.opposite()
-    vals = {v: _square_slice(iq, v, spec) for v in sq.elements}
-    arrs = {}
-    for (a, b) in sq.covers:
-        arrs[(a, b)] = _square_arrow(iq, a, b, vals, spec)
+    vals, arrs = split(iq.complex, sq, spec)
     p, mty, mtz = pushout(arrs[(x, y)], arrs[(x, z)])
     # induced map p -> w from the universal property
-    map_yw = _square_path(iq, y, w, vals, spec)
-    map_zw = _square_path(iq, z, w, vals, spec)
+    map_yw = restrict_map(iq.complex, vals[y], vals[w], lambda r: (y, r), lambda r: (w, r))
+    map_zw = restrict_map(iq.complex, vals[z], vals[w], lambda r: (z, r), lambda r: (w, r))
     pw = _induced_from_pushout(p, mty, mtz, map_yw, map_zw)
     dshape = d4_poset()
     values = {"y": vals[y], "z": vals[z], "p": p, "w": vals[w]}
     arrows = {("y", "p"): mty, ("z", "p"): mtz, ("p", "w"): pw}
-    return Bimodule(dshape, sq, _merge_poset_diagram(dshape, values, arrows, spec, field))
+    return Bimodule(dshape, sq, glue(dshape, spec, values, arrows))
 
 
 def square_d4_inverse(field: FieldSpec) -> Bimodule:
@@ -337,8 +319,7 @@ def square_d4_inverse(field: FieldSpec) -> Bimodule:
     sq = square_poset()
     idd = identity_prof(dshape, field)
     spec = dshape.opposite()
-    vals = {v: _square_slice(idd, v, spec) for v in dshape.elements}
-    arrs = {cov: _square_arrow(idd, cov[0], cov[1], vals, spec) for cov in dshape.covers}
+    vals, arrs = split(idd.complex, dshape, spec)
     py, inc, ev = mapping_path(arrs[("y", "p")])
     xt, pt, pb = pullback(ev, arrs[("z", "p")])
     pw = arrs[("p", "w")]
@@ -347,34 +328,7 @@ def square_d4_inverse(field: FieldSpec) -> Bimodule:
     x, y, z, w = (0, 0), (1, 0), (0, 1), (1, 1)
     values = {x: xt, y: py, z: vals["z"], w: vals["w"]}
     arrows = {(x, y): pt, (x, z): pb, (y, w): map_yw, (z, w): map_zw}
-    return Bimodule(sq, dshape, _merge_poset_diagram(sq, values, arrows, spec, field))
-
-
-def _square_slice(b: Bimodule, v, spec: Poset) -> Complex:
-    c = b.complex
-    terms = {}
-    diffs = {}
-    for d in c.degrees():
-        t = c.term(d)
-        dims = {r: t.dims[(v, r)] for r in spec.elements}
-        mats = {(r1, r2): t.mats[((v, r1), (v, r2))] for (r1, r2) in spec.covers}
-        terms[d] = Rep(spec, c.field, dims, mats, validate=False)
-    diffs = {d: {r: c.diff(d)[(v, r)] for r in spec.elements} for d in c.diffs}
-    return Complex(spec, c.field, terms, diffs, validate=False)
-
-
-def _square_arrow(b: Bimodule, a, a2, vals, spec: Poset) -> ChainMap:
-    c = b.complex
-    comps = {d: {r: c.term(d).mats[((a, r), (a2, r))] for r in spec.elements}
-             for d in c.degrees()}
-    return ChainMap(vals[a], vals[a2], comps)
-
-
-def _square_path(b: Bimodule, a, a2, vals, spec: Poset) -> ChainMap:
-    c = b.complex
-    comps = {d: {r: c.term(d).path_map((a, r), (a2, r)) for r in spec.elements}
-             for d in c.degrees()}
-    return ChainMap(vals[a], vals[a2], comps)
+    return Bimodule(sq, dshape, glue(sq, spec, values, arrows))
 
 
 def _induced_from_pushout(p: Complex, mt: ChainMap, mb: ChainMap,
@@ -397,31 +351,6 @@ def _induced_from_pushout(p: Complex, mt: ChainMap, mb: ChainMap,
                 raise RuntimeError("pushout-induced map does not exist")
             comps[d][e] = sol.transpose()
     return ChainMap(p, w, comps)
-
-
-def _merge_poset_diagram(shape: Poset, values: Dict, arrows: Dict,
-                         spec: Poset, field: FieldSpec) -> Complex:
-    """Assemble a complex over shape x spec from vertex values and arrow maps
-    (arrows given on the covers of shape)."""
-    prod = shape.product(spec)
-    degs = sorted({d for v in values.values() for d in v.degrees()})
-    terms = {}
-    diffs: Dict[int, Dict] = {}
-    for d in degs:
-        dims = {}
-        mats = {}
-        for (x, y) in prod.covers:
-            (vx, rx), (vy, ry) = x, y
-            if vx == vy:
-                mats[(x, y)] = values[vx].term(d).mats[(rx, ry)]
-            else:
-                mats[(x, y)] = arrows[(vx, vy)].comp(d)[rx]
-        for v in shape.elements:
-            for r in spec.elements:
-                dims[(v, r)] = values[v].term(d).dims[r]
-        terms[d] = Rep(prod, field, dims, mats, validate=False)
-        diffs[d] = {(v, r): values[v].diff(d)[r] for v in shape.elements for r in spec.elements}
-    return Complex(prod, field, terms, diffs, validate=False)
 
 
 TDQ_EXPECTED_B_PATTERN = {

@@ -4,11 +4,13 @@ from hypothesis import given, settings, strategies as st
 
 from meshrep.derived import (
     ChainMap, Complex, DerivedObject, Square, cone, cone_inclusion,
-    cone_projection, derived_hom_dim, fiber, fiber_projection, homology_dims,
+    cone_projection, derived_hom_dim, fiber, fiber_projection, glue, homology_dims,
     homology_rep, is_acyclic, is_bicartesian, linear_dual_complex,
-    mapping_cylinder, mapping_path, minimize, normalize, object_complex,
+    mapping_cylinder, mapping_path, minimize, normalize, object_complex, restrict, split,
 )
-from meshrep.linalg import GF, Matrix
+from meshrep.bimod import identity_prof
+from meshrep.functors import reflect_plus_obj
+from meshrep.linalg import GF, QQ, Matrix
 from meshrep.rep import Interval, interval_module, random_interval_sum, random_rep
 from meshrep.shapes import LineQuiver, all_orientations, point_poset
 
@@ -232,3 +234,51 @@ def test_object_complex_roundtrip():
     q = LineQuiver(4, "BFB")
     obj = DerivedObject.from_dict({(0, Interval(1, 3)): 2, (-1, Interval(2, 2)): 1, (3, Interval(4, 4)): 1})
     assert normalize(q, object_complex(q, obj, F)) == obj
+
+
+def assert_same_complex(a: Complex, b: Complex):
+    """Entry for entry: dimensions, structure maps and differentials."""
+    assert a.shape.elements == b.shape.elements
+    assert set(a.shape.covers) == set(b.shape.covers)
+    assert a.degrees() == b.degrees()
+    for d in range(min(a.degrees(), default=0) - 1, max(a.degrees(), default=0) + 2):
+        ta, tb = a.term(d), b.term(d)
+        assert ta.dims == tb.dims
+        assert all(ta.mats[cov] == tb.mats[cov] for cov in a.shape.covers)
+        da, db = a.diff(d), b.diff(d)
+        assert all(da[e] == db[e] for e in a.shape.elements)
+
+
+def _reflected_complex(field, spectator: bool, seed: int):
+    """A complex with nonzero differentials over q2 (x q^op): a reflection at a
+    sink of a random orientation, applied to a random module or to I_q."""
+    rng = np.random.default_rng(seed)
+    q = all_orientations(4)[int(rng.integers(0, 8))]
+    a = q.sinks()[0]
+    if spectator:
+        spec = q.poset().opposite()
+        q2, c = reflect_plus_obj(q, a, identity_prof(q, field).complex, spectator=spec)
+        return q2, spec, c
+    x, _ = random_interval_sum(q, field, rng, max_total=5)
+    # the full interval makes the arrows into the sink, hence the differential, nonzero
+    x = x.direct_sum(interval_module(q, 1, q.n, field))
+    q2, c = reflect_plus_obj(q, a, Complex.from_rep(x))
+    return q2, None, c
+
+
+@pytest.mark.parametrize("field", [GF(5), QQ], ids=["F5", "Q"])
+@pytest.mark.parametrize("spectator", [False, True], ids=["point", "spectator"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_glue_inverts_split(field, spectator, seed):
+    q2, spec, c = _reflected_complex(field, spectator, seed)
+    assert any(not m.is_zero() for phi in c.diffs.values() for m in phi.values())
+    values, arrows = split(c, q2.poset(), spec)
+    assert set(values) == set(q2.vertices) and set(arrows) == set(q2.arrows())
+    assert_same_complex(glue(q2.poset(), spec, values, arrows), c)
+
+
+@pytest.mark.parametrize("field", [GF(5), QQ], ids=["F5", "Q"])
+def test_restrict_along_identity(field):
+    for spectator in (False, True):
+        _, _, c = _reflected_complex(field, spectator, 2)
+        assert_same_complex(restrict(c, c.shape, lambda e: e), c)

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from meshrep.linalg import (
-    GF, QQ, FieldSpec, Matrix, column_space_basis, inverse, is_invertible,
-    kernel_basis, rank, rref, solve,
+    GF, MAX_PRIME, QQ, FieldSpec, Matrix, column_space_basis, complement_columns,
+    complement_projection, inverse, is_invertible, kernel_basis, rank, rref, solve,
 )
 
 FIELDS = [QQ, GF(5), GF(32003)]
@@ -80,3 +80,72 @@ def test_column_space_basis():
     m = Matrix.from_rows(QQ, [[1, 2, 3], [2, 4, 6], [0, 0, 1]])
     b = column_space_basis(m)
     assert b.ncols == rank(m) == 2
+
+
+def test_large_primes_rejected():
+    # int64 products would wrap: [p-1]*3 @ [p-1]*3 gave p-1 instead of 3 at p = 2^31 - 1
+    for p in (2 ** 31 - 1, 65537):
+        with pytest.raises(ValueError, match="2\\^16"):
+            FieldSpec.prime(p)
+    assert GF(65521).p == 65521  # the largest prime below the bound
+
+
+def _is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+# primes up to the bound, weighted towards the largest one
+PRIMES = st.one_of(st.just(65521),
+                   st.integers(2, MAX_PRIME - 1).map(
+                       lambda n: next(p for p in range(n, 1, -1) if _is_prime(p))))
+
+
+def _ref_matmul(a, b, p):
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+
+
+def _ref_rref(a, p):
+    a = [[x % p for x in row] for row in a]
+    pivots, r = [], 0
+    for c in range(len(a[0]) if a else 0):
+        sel = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if sel is None:
+            continue
+        a[r], a[sel] = a[sel], a[r]
+        inv = pow(a[r][c], p - 2, p)
+        a[r] = [x * inv % p for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+@settings(max_examples=80, deadline=None)
+@given(PRIMES, st.integers(1, 5), st.integers(1, 5), st.integers(1, 5), st.data())
+def test_fp_arithmetic_matches_integer_reference(p, nr, k, nc, data):
+    f = GF(p)
+    entries = st.one_of(st.just(p - 1), st.integers(0, p - 1))
+    a = data.draw(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=nr, max_size=nr))
+    b = data.draw(st.lists(st.lists(entries, min_size=nc, max_size=nc), min_size=k, max_size=k))
+    assert (Matrix.from_rows(f, a) @ Matrix.from_rows(f, b)).rows() == _ref_matmul(a, b, p)
+    red, pivots = rref(Matrix.from_rows(f, a))
+    assert (red.rows(), pivots) == _ref_rref(a, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 4), st.integers(0, 4), st.integers(0, 2), st.data())
+def test_complement_columns_extend_the_span(nr, ns, nc, fidx, data):
+    field = FIELDS[fidx]
+    rng = np.random.default_rng(data.draw(st.integers(0, 10 ** 6)))
+    sub = column_space_basis(Matrix.random(field, nr, ns, rng))
+    cand = Matrix.random(field, nr, nc, rng)
+    idx = complement_columns(sub, cand)
+    both = Matrix.hstack(field, [sub, cand], nrows=nr)
+    chosen = Matrix.hstack(field, [sub, cand.submatrix(range(nr), idx)], nrows=nr)
+    assert rank(chosen) == chosen.ncols == rank(both)
+    proj, sec = complement_projection(sub)
+    assert (proj @ sub).is_zero()
+    assert proj @ sec == Matrix.identity(field, nr - sub.ncols)

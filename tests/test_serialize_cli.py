@@ -78,6 +78,11 @@ def test_cli_usage_error():
     runner = CliRunner()
     res = runner.invoke(main, ["reflect", "-q", "A3", "--interval", "1,1"])
     assert res.exit_code == 2  # missing --vertex
+    # not a prime, not a number, and a prime beyond the exact-arithmetic bound
+    for field in ("F4", "Fx", "F2147483647"):
+        res = runner.invoke(main, ["decompose", "-q", "A2", "-f", field])
+        assert res.exit_code == 2, field
+        assert "Usage" in res.output
 
 
 def test_cli_seed_env(monkeypatch):
