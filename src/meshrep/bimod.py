@@ -11,6 +11,7 @@ doubles as an independent oracle for the hereditary route.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple, Union
 
 from .derived import (ChainMap, Complex, homology_rep, linear_dual_complex, restrict,
@@ -210,20 +211,25 @@ def cancel_tensor(m: Bimodule, n: Bimodule, method: str = "auto") -> Bimodule:
         a, b = tensors[ch]
         return [(i, d - i) for i in a.degrees() if (d - i) in set(b.degrees())]
 
-    # vertical maps between tensors induced by middle actions
+    # vertical maps between tensors induced by middle actions, each built once:
+    # many chains and target blocks share the same pair u <= v
+    @lru_cache(maxsize=None)
+    def n_action(u, v) -> ChainMap:
+        """The covariant action n(u, -) -> n(v, -)."""
+        return restrict_map(n.complex, nslices[u], nslices[v], lambda b: (u, b), lambda b: (v, b))
+
+    @lru_cache(maxsize=None)
+    def m_action(u, v) -> ChainMap:
+        """The contravariant action m(-, v) -> m(-, u)."""
+        return restrict_map(m.complex, mslices[v], mslices[u], lambda a: (a, v), lambda a: (a, u))
+
     def face_map(ch: Tuple, i: int) -> Tuple[Tuple, Optional[ChainMap], Optional[ChainMap]]:
-        """Target chain and the (left, right) chain maps to apply: the
-        covariant action n(u, -) -> n(v, -) and the contravariant action
-        m(-, v) -> m(-, u) for u <= v."""
+        """Target chain and the (left, right) chain maps to apply."""
         k = len(ch) - 1
         if i == 0:
-            u, v = ch[0], ch[1]
-            return ch[1:], None, restrict_map(n.complex, nslices[u], nslices[v],
-                                              lambda b: (u, b), lambda b: (v, b))
+            return ch[1:], None, n_action(ch[0], ch[1])
         if i == k:
-            u, v = ch[-2], ch[-1]
-            return ch[:-1], restrict_map(m.complex, mslices[v], mslices[u],
-                                         lambda a: (a, v), lambda a: (a, u)), None
+            return ch[:-1], m_action(ch[-2], ch[-1]), None
         return ch[:i] + ch[i + 1:], None, None
 
     # total complex ----------------------------------------------------------

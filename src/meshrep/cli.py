@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import json
 import sys
+from typing import Optional
 
 import click
+from click.core import ParameterSource
 
 from .armesh import build_ar, merge_window_complex
 from .bimod import (bar_tensor_oracle, cancel_tensor, duality_module,
@@ -46,12 +48,25 @@ def _quiver(spec: str) -> LineQuiver:
     raise click.UsageError(f"bad quiver spec {spec!r}: use e.g. A3 or FFB")
 
 
-def _load_complex(path: str) -> Complex:
-    with open(path) as fh:
-        data = json.load(fh)
+def _load_complex(path: Optional[str], q: LineQuiver, f: FieldSpec) -> Complex:
+    """The JSON rep or complex in path (stdin when path is None).  It must be
+    over the poset of q and, when -f is given, over that field."""
+    if path:
+        with open(path) as fh:
+            data = json.load(fh)
+    else:
+        data = json.load(sys.stdin)
     if data.get("type") == "rep":
-        return Complex.from_rep(rep_from_json(data))
-    return complex_from_json(data)
+        c = Complex.from_rep(rep_from_json(data))
+    else:
+        c = complex_from_json(data)
+    p = q.poset()
+    if set(c.shape.elements) != set(p.elements) or set(c.shape.covers) != set(p.covers):
+        raise click.UsageError(f"the input is over the shape {c.shape.name}, not over {q}")
+    source = click.get_current_context().get_parameter_source("field")
+    if source is not ParameterSource.DEFAULT and c.field != f:
+        raise click.UsageError(f"the input is over {c.field}, not over -f {f}")
+    return c
 
 
 def _interval_complex(q: LineQuiver, spec: str, field: FieldSpec) -> Complex:
@@ -72,12 +87,7 @@ def main():
 def decompose(quiver, field, input_path):
     """Interval decomposition of a representation."""
     q = _quiver(quiver)
-    f = _field(field)
-    if input_path:
-        c = _load_complex(input_path)
-    else:
-        c = Complex.from_rep(rep_from_json(json.load(sys.stdin)))
-    out = normalize(q, c)
+    out = normalize(q, _load_complex(input_path, q, _field(field)))
     click.echo(" + ".join(f"{m}*S^{s}M[{itv.i},{itv.j}]" if m > 1 else f"S^{s}M[{itv.i},{itv.j}]"
                           for (s, itv, m) in out.summands) or "0")
 
@@ -96,7 +106,7 @@ def _functor_command(name, fn):
         if interval:
             c = _interval_complex(q, interval, f)
         elif input_path:
-            c = _load_complex(input_path)
+            c = _load_complex(input_path, q, f)
         else:
             raise click.UsageError("need --interval or --input")
         q2, out = fn(q, c, vertex=vertex, target=target)
@@ -160,7 +170,7 @@ def ar_quiver(quiver, field, interval, input_path, fmt, kmin, kmax):
     if interval:
         c = _interval_complex(q, interval, f)
     elif input_path:
-        c = _load_complex(input_path)
+        c = _load_complex(input_path, q, f)
     else:
         c = Complex.zero(q.poset(), f)
     window = MeshWindow(q.n, kmin, kmax) if kmin is not None and kmax is not None else None
@@ -257,7 +267,7 @@ def triangle(quiver, field, interval, input_path, do_verify):
     if interval:
         c = _interval_complex(q, interval, f)
     elif input_path:
-        c = _load_complex(input_path)
+        c = _load_complex(input_path, q, f)
     else:
         raise click.UsageError("need --interval or --input")
     t = standard_triangle(q, c)

@@ -21,7 +21,10 @@ RepMap = Dict[Element, Matrix]
 
 
 class Complex:
-    """A bounded chain complex of Reps over a fixed shape."""
+    """A bounded chain complex of Reps over a fixed shape.
+
+    Immutable: only the constructor writes terms and diffs, so absent degrees
+    can return the shared zero rep and zero matrices."""
 
     def __init__(self, shape: Poset, field: FieldSpec, terms: Dict[int, Rep],
                  diffs: Dict[int, RepMap], validate: bool = True):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -104,15 +104,29 @@ class Matrix:
 
     @staticmethod
     def zeros(field: FieldSpec, nrows: int, ncols: int) -> "Matrix":
-        if field.is_rational:
-            return Matrix(field, nrows, ncols, [[0] * ncols for _ in range(nrows)])
-        return Matrix(field, nrows, ncols, np.zeros((nrows, ncols), dtype=np.int64))
+        """The zero matrix; one shared instance per field and size."""
+        key = (field, nrows, ncols)
+        m = _ZEROS.get(key)
+        if m is None:
+            if field.is_rational:
+                m = Matrix(field, nrows, ncols, [[0] * ncols for _ in range(nrows)])
+            else:
+                m = Matrix(field, nrows, ncols, np.zeros((nrows, ncols), dtype=np.int64))
+            _ZEROS[key] = m
+        return m
 
     @staticmethod
     def identity(field: FieldSpec, n: int) -> "Matrix":
-        if field.is_rational:
-            return Matrix(field, n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-        return Matrix(field, n, n, np.eye(n, dtype=np.int64))
+        """The identity matrix; one shared instance per field and size."""
+        key = (field, n)
+        m = _IDENTITIES.get(key)
+        if m is None:
+            if field.is_rational:
+                m = Matrix(field, n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+            else:
+                m = Matrix(field, n, n, np.eye(n, dtype=np.int64))
+            _IDENTITIES[key] = m
+        return m
 
     @staticmethod
     def from_rows(field: FieldSpec, rows: Sequence[Sequence[Scalar]]) -> "Matrix":
@@ -293,6 +307,13 @@ class Matrix:
         return Matrix(self.field, len(row_idx), len(col_idx),
                       self._a[np.ix_(row_idx, col_idx)] if row_idx and col_idx
                       else np.zeros((len(row_idx), len(col_idx)), dtype=np.int64))
+
+
+# A Matrix is never changed after construction (F_p arrays are read-only,
+# rational rows are tuples), so zero and identity matrices are built once per
+# field and size and shared by every caller.
+_ZEROS: Dict[Tuple[FieldSpec, int, int], Matrix] = {}
+_IDENTITIES: Dict[Tuple[FieldSpec, int], Matrix] = {}
 
 
 # -- elimination -------------------------------------------------------

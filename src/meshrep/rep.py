@@ -23,7 +23,10 @@ Cover = Tuple[Element, Element]
 
 
 class Rep:
-    """A functor from a finite poset shape into f.d. vector spaces."""
+    """A functor from a finite poset shape into f.d. vector spaces.
+
+    Immutable: only the constructor writes dims and mats, which lets zero reps
+    and the zero blocks of missing covers be shared."""
 
     def __init__(self, shape: Poset, field: FieldSpec, dims: Dict[Element, int],
                  mats: Dict[Cover, Matrix], validate: bool = True):
@@ -111,7 +114,11 @@ class Rep:
 
     @staticmethod
     def zero(shape: Poset, field: FieldSpec) -> "Rep":
-        return Rep(shape, field, {}, {}, validate=False)
+        """The zero rep; one shared instance per shape instance and field."""
+        z = shape._zero_reps.get(field)
+        if z is None:
+            z = shape._zero_reps[field] = Rep(shape, field, {}, {}, validate=False)
+        return z
 
     def direct_sum(self, other: "Rep") -> "Rep":
         if self.shape is not other.shape and self.shape.elements != other.shape.elements:

@@ -35,6 +35,7 @@ class Poset:
                 raise ValueError(f"cover {a}->{b} uses unknown element")
         self._index = idx
         self._leq_cache: Optional[Dict[Element, FrozenSet[Element]]] = None
+        self._zero_reps: Dict[object, object] = {}  # field -> the shared Rep.zero over self
 
     def _up_sets(self) -> Dict[Element, FrozenSet[Element]]:
         if self._leq_cache is None:

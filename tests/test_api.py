@@ -1,8 +1,11 @@
-"""Every top-level function and class of the package is used somewhere.
+"""Checks on the package source as a whole.
 
-A name counts as used when it appears in src/, tests/, scripts/ or README.md
-outside its own definition.  Functions registered as click commands are
-reached through the CLI and are exempt.
+Every top-level function and class of the package is used somewhere.  A name
+counts as used when it appears in src/, tests/, scripts/ or README.md outside
+its own definition.  Functions registered as click commands are reached
+through the CLI and are exempt.
+
+No code writes into a Rep, Complex or ChainMap after its constructor.
 """
 
 import ast
@@ -38,3 +41,56 @@ def test_no_unused_top_level_names():
             if uses == 0:
                 unused.append(f"{mod.name}:{node.name}")
     assert unused == []
+
+
+VALUE_FIELDS = {"dims", "mats", "terms", "diffs", "comps"}
+CONSTRUCTORS = {("Rep", "__init__"), ("Complex", "__init__")}
+MUTATORS = {"update", "pop", "popitem", "setdefault", "clear"}
+
+
+def _writes_into_values(tree) -> list:
+    """Lines outside Rep.__init__ and Complex.__init__ that assign into, or
+    call a mutating method of, the dims/mats/terms/diffs/comps of a value."""
+    def field_of(node):
+        while isinstance(node, ast.Subscript):
+            node = node.value
+        return isinstance(node, ast.Attribute) and node.attr in VALUE_FIELDS
+
+    def written(target):
+        if isinstance(target, (ast.Tuple, ast.List)):
+            return any(written(t) for t in target.elts)
+        return isinstance(target, ast.Subscript) and field_of(target)
+
+    bad = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            hit = any(written(t) for t in node.targets)
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            hit = written(node.target)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            hit = node.func.attr in MUTATORS and field_of(node.func.value)
+        else:
+            hit = False
+        if hit and scope[-2:] not in CONSTRUCTORS:
+            bad.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return bad
+
+
+def test_values_are_written_only_by_their_constructors():
+    """Zero reps and zero/identity matrices are shared, which is safe only
+    while no code writes into a Rep, Complex or ChainMap after building it."""
+    found = {mod.name: _writes_into_values(ast.parse(mod.read_text()))
+             for mod in sorted(PACKAGE.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    bad = ("def f(r, c, h):\n    r.dims[1] = 0\n    c.diffs[0][1] += h\n"
+           "    h.comps[0].update({})\n    del r.mats[(1, 2)]\n"
+           "    x[r.dims[1]], r.terms[0] = 0, 1\n    r.dims.pop(1)\n"
+           "class Rep:\n    def __init__(self):\n        self.mats[0] = 1\n")
+    assert _writes_into_values(ast.parse(bad)) == [2, 3, 4, 5, 6, 7]

@@ -135,3 +135,33 @@ def test_tensor_opposite_symmetry():
         lhs = cancel_tensor(from_right_complex(q, rc), from_left_complex(q, yc))
         rhs = cancel_tensor(from_right_complex(qop, yc), from_left_complex(qop, rc))
         assert homology_dims(lhs.complex, ((), ())) == homology_dims(rhs.complex, ((), ()))
+
+
+# sha256 of the serialized D_Q (x) D_Q on linear A4 over F_32003: pins every
+# term and differential of the result
+TENSOR_DIGESTS = {
+    "hereditary": (6, "b35679ac94aebdba920604065799ebf15ce73b84098cf44fa1a89decf275f134"),
+    "bar": (12, "563a82fb3d9bb2b9e7bb696510e29cd78909d6c413ea4a76828254234737db67"),
+}
+
+
+@pytest.mark.parametrize("method", sorted(TENSOR_DIGESTS))
+def test_cancel_tensor_builds_each_action_once(method, monkeypatch):
+    """One restrict_map per middle action: 6 distinct actions on the covers of
+    A4 for the hereditary route, 12 on its comparable pairs for the bar route."""
+    import hashlib
+    from meshrep import bimod
+    from meshrep.serialize import complex_to_json, dumps
+    calls = []
+    original = bimod.restrict_map
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(bimod, "restrict_map", counting)
+    dq = duality_module(LineQuiver.linear(4), F)
+    out = cancel_tensor(dq, dq, method=method)
+    n_maps, digest = TENSOR_DIGESTS[method]
+    assert len(calls) == n_maps
+    assert hashlib.sha256(dumps(complex_to_json(out.complex)).encode()).hexdigest() == digest

@@ -282,3 +282,31 @@ def test_restrict_along_identity(field):
     for spectator in (False, True):
         _, _, c = _reflected_complex(field, spectator, 2)
         assert_same_complex(restrict(c, c.shape, lambda e: e), c)
+
+
+@pytest.mark.parametrize("field", [GF(5), QQ])
+def test_shared_zeros_stay_zero(field):
+    """Zero reps, zero matrices and identity matrices are shared between all
+    callers; a reflection, a tensor and a homology computation leave them as
+    they were built."""
+    from meshrep import linalg
+    from meshrep.bimod import cancel_tensor, duality_module, from_left_complex
+    from meshrep.functors import reflect_plus
+    from meshrep.rep import Rep
+    q = LineQuiver.linear(3)
+    x, _ = random_interval_sum(q, field, np.random.default_rng(4), max_total=4)
+    c = Complex.from_rep(x).direct_sum(Complex.from_rep(interval_module(q, 2, 3, field), 2))
+    _, refl = reflect_plus(q, 3, c)
+    tensor = cancel_tensor(duality_module(q, field), from_left_complex(q, c)).complex
+    for d in range(-1, 4):
+        homology_rep(c, d)
+        homology_rep(tensor, d)
+    for cx in (c, refl, tensor):
+        for z in (Rep.zero(cx.shape, field), cx.term(max(cx.degrees(), default=0) + 1)):
+            assert z is Rep.zero(cx.shape, field)
+            assert all(v == 0 for v in z.dims.values())
+            assert all(m.nrows == m.ncols == 0 for m in z.mats.values())
+    for (f, r, k), m in linalg._ZEROS.items():
+        assert (m.nrows, m.ncols) == (r, k) and m.is_zero()
+    for (f, n), m in linalg._IDENTITIES.items():
+        assert m.rows() == [[int(i == j) for j in range(n)] for i in range(n)]

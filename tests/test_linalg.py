@@ -149,3 +149,25 @@ def test_complement_columns_extend_the_span(nr, ns, nc, fidx, data):
     proj, sec = complement_projection(sub)
     assert (proj @ sub).is_zero()
     assert proj @ sec == Matrix.identity(field, nr - sub.ncols)
+
+
+@pytest.mark.parametrize("field", [GF(5), QQ])
+def test_zero_and_identity_are_shared_and_immutable(field):
+    z = Matrix.zeros(field, 2, 3)
+    assert z is Matrix.zeros(field, 2, 3)
+    assert Matrix.identity(field, 3) is Matrix.identity(field, 3)
+    assert z is not Matrix.zeros(field, 3, 2)
+    for m in (z, Matrix.identity(field, 3)):
+        if field.is_rational:
+            assert isinstance(m._rows, tuple) and all(isinstance(r, tuple) for r in m._rows)
+        else:
+            assert not m._a.flags.writeable
+            with pytest.raises(ValueError):
+                m._a[0, 0] = 1
+    rows = z.rows()
+    rows[0][0] = 1
+    rows.append([1, 1, 1])
+    assert z.rows() == [[0, 0, 0], [0, 0, 0]] and z.is_zero()
+    rows = Matrix.identity(field, 3).rows()
+    rows[1][1] = 0
+    assert Matrix.identity(field, 3).rows() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]

@@ -8,7 +8,7 @@ from meshrep.bimod import identity_prof
 from meshrep.cli import main
 from meshrep.derived import Complex, normalize
 from meshrep.linalg import GF, QQ, Matrix
-from meshrep.rep import Rep, random_interval_sum, random_rep
+from meshrep.rep import Rep, interval_module, random_interval_sum, random_rep
 from meshrep.serialize import (bimodule_from_json, bimodule_to_json,
                                complex_from_json, complex_to_json, dumps,
                                rep_from_json, rep_to_json)
@@ -91,3 +91,23 @@ def test_cli_seed_env(monkeypatch):
     assert run_seed(7) == 424242
     monkeypatch.delenv("MESHREP_SEED")
     assert run_seed(7) == 7
+
+
+def test_cli_input_must_match_quiver_and_field(tmp_path):
+    """An input over another shape or field is a usage error, from a file or stdin."""
+    runner = CliRunner()
+    payload = dumps(rep_to_json(interval_module(LineQuiver.linear(3), 1, 3, F)))
+    path = tmp_path / "m13.json"
+    path.write_text(payload)
+    for stdin in (False, True):
+        def run(*args):
+            src = [] if stdin else ["-i", str(path)]
+            return runner.invoke(main, ["decompose", *args, *src], input=payload if stdin else None)
+        res = run("-q", "A3")
+        assert res.exit_code == 0 and res.output.strip() == "S^0M[1,3]"
+        assert run("-q", "A3", "-f", "F32003").output.strip() == "S^0M[1,3]"
+        for args in (["-q", "A2"], ["-q", "A4"], ["-q", "FB"], ["-q", "A3", "-f", "F5"]):
+            res = run(*args)
+            assert res.exit_code == 2 and "Usage" in res.output, (stdin, args)
+    res = runner.invoke(main, ["reflect", "-q", "A4", "-a", "4", "-i", str(path)])
+    assert res.exit_code == 2
