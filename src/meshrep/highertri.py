@@ -23,7 +23,8 @@ import numpy as np
 
 from .armesh import build_ar
 from .derived import ChainMap, Complex, cone, glue, homology_basis, homology_dims
-from .linalg import FieldSpec, Matrix, inverse, is_invertible, kernel_basis, solve
+from .linalg import (FieldSpec, Matrix, inverse, is_invertible, kernel_basis, solve, split_vector,
+                     sylvester_system)
 from .linalg import rref  # noqa: F401  perfbench checks that its tracer wraps this binding
 from .shapes import (LineQuiver, MeshWindow, embed_iQ, induced_alpha, mesh_leq, mesh_map_f,
                      mesh_map_t)
@@ -292,96 +293,51 @@ def inverse_image(m: int, alpha: Dict[int, int], t: NTriangle) -> NTriangle:
 
 def _solution_space(s: NTriangle, t: NTriangle, verts: List[Vertex],
                     pins: Optional[Dict] = None):
+    """(slots, shapes, hom, part): the families psi of maps H_d(s v) -> H_d(t v),
+    one unknown per slot (v, d), that commute with the arrows and with phi and
+    agree with the pins are part + the column span of hom (part None when
+    there is none)."""
     fieldd = s.fieldspec
     s_h = {v: s.hdim(v) for v in verts}
     t_h = {v: t.hdim(v) for v in verts}
-    offs: Dict[Tuple[Vertex, int], Tuple[int, int, int]] = {}
-    total = 0
-    for v in verts:
-        for d in set(s_h[v]) | set(t_h[v]):
-            r, c = t_h[v].get(d, 0), s_h[v].get(d, 0)
-            offs[(v, d)] = (total, r, c)
-            total += r * c
-    rows: List[List] = []
-    rhs: List = []
+    slots = [(v, d) for v in verts for d in set(s_h[v]) | set(t_h[v])]
+    shapes = [(t_h[v].get(d, 0), s_h[v].get(d, 0)) for v, d in slots]
+    idx = {k: i for i, k in enumerate(slots)}
+
+    def equation(a, left, b, right):
+        # left . psi_a = psi_b . right, a missing (None) map being zero
+        (ra, ca), (rb, cb) = shapes[a], shapes[b]
+        return (a, Matrix.zeros(fieldd, rb, ra) if left is None else left, b,
+                Matrix.zeros(fieldd, cb, ca) if right is None else right)
+
+    eqs = []
     vset = set(verts)
-    s_arrows = {}
-    t_arrows = {}
-    for cov in _covers_of(vset, s.n):
-        if cov in s.arrows and cov in t.arrows:
-            s_arrows[cov] = s.arrow_h(cov)
-            t_arrows[cov] = t.arrow_h(cov)
-    for (a, b), sa in s_arrows.items():
-        ta = t_arrows[(a, b)]
-        degset = set(s_h[a]) | set(s_h[b]) | set(t_h[a]) | set(t_h[b])
-        for d in degset:
-            # psi_b . sa = ta . psi_a
-            for i in range(t_h[b].get(d, 0)):
-                for j in range(s_h[a].get(d, 0)):
-                    row = [0] * total
-                    oa, ob = offs.get((a, d)), offs.get((b, d))
-                    left = ta.get(d)
-                    right = sa.get(d)
-                    if oa is not None and left is not None:
-                        _, r1, c1 = oa
-                        for kk in range(left.ncols):
-                            row[oa[0] + kk * c1 + j] += left[i, kk]
-                    if ob is not None and right is not None:
-                        _, r2, c2 = ob
-                        for kk in range(right.nrows):
-                            row[ob[0] + i * c2 + kk] -= right[kk, j]
-                    rows.append(row)
-                    rhs.append(0)
+    for (a, b) in _covers_of(vset, s.n):
+        if (a, b) not in s.arrows or (a, b) not in t.arrows:
+            continue
+        sa, ta = s.arrow_h((a, b)), t.arrow_h((a, b))
+        for d in set(s_h[a]) | set(s_h[b]) | set(t_h[a]) | set(t_h[b]):
+            if (a, d) in idx and (b, d) in idx:
+                eqs.append(equation(idx[(a, d)], ta.get(d), idx[(b, d)], sa.get(d)))
     for v in vset:
         fv = mesh_map_f(s.n, v)
         if fv not in vset or v not in s.phi or v not in t.phi:
             continue
         for d in set(s_h[v]) | set(t_h[v]):
-            ps = s.phi[v].get(d)
-            pt = t.phi[v].get(d)
-            hs_v, ht_v = s_h[v].get(d, 0), t_h[v].get(d, 0)
-            hs_f, ht_f = s.hdim(fv).get(d + 1, 0), t.hdim(fv).get(d + 1, 0)
-            # psi_{fv, d+1} . phi_s = phi_t . psi_{v, d}
-            for i in range(ht_f):
-                for j in range(hs_v):
-                    row = [0] * total
-                    ov, of = offs.get((v, d)), offs.get((fv, d + 1))
-                    if of is not None and ps is not None:
-                        _, r1, c1 = of
-                        for kk in range(hs_f):
-                            row[of[0] + i * c1 + kk] += ps[kk, j]
-                    if ov is not None and pt is not None:
-                        _, r2, c2 = ov
-                        for kk in range(ht_v):
-                            row[ov[0] + kk * c2 + j] -= pt[i, kk]
-                    rows.append(row)
-                    rhs.append(0)
-    if pins:
-        for (v, d), mat in pins.items():
-            o = offs.get((v, d))
-            if o is None:
-                continue
-            _, r, c = o
-            for i in range(r):
-                for j in range(c):
-                    row = [0] * total
-                    row[o[0] + i * c + j] = 1
-                    rows.append(row)
-                    rhs.append(mat[i, j])
-    sysm = Matrix.from_rows(fieldd, rows) if rows else Matrix.zeros(fieldd, 0, total)
-    rhsm = Matrix.column(fieldd, rhs) if rhs else Matrix.zeros(fieldd, 0, 1)
-    part = solve(sysm, rhsm) if rows else Matrix.zeros(fieldd, total, 1)
-    hom = kernel_basis(sysm) if rows else Matrix.identity(fieldd, total)
-    return offs, total, hom, part
-
-
-def _psi_from_vector(offs, vals, fieldd):
-    out = {}
-    for (v, d), (o, r, c) in offs.items():
-        out[(v, d)] = Matrix.from_rows(fieldd, [[vals[o + i * c + j] for j in range(c)]
-                                                for i in range(r)]) if r and c \
-            else Matrix.zeros(fieldd, r, c)
-    return out
+            if (fv, d + 1) in idx:
+                eqs.append(equation(idx[(v, d)], t.phi[v].get(d), idx[(fv, d + 1)],
+                                    s.phi[v].get(d)))
+    pinned = [(idx[key], mat) for key, mat in (pins or {}).items() if key in idx]
+    for i, mat in pinned:
+        if (mat.nrows, mat.ncols) != shapes[i]:
+            raise ValueError(f"pin at {slots[i]} has the wrong shape")
+    # the pin psi_i = P is the equation 1 . psi_i - psi_i . 0 = P, its rows last
+    eqs += [(i, None, i, Matrix.zeros(fieldd, shapes[i][1], shapes[i][1])) for i, _ in pinned]
+    sysm = sylvester_system(fieldd, shapes, eqs)
+    pin_vals = [x for _, mat in pinned for row in mat.rows() for x in row]
+    rhs = [0] * (sysm.nrows - len(pin_vals)) + pin_vals
+    part = solve(sysm, Matrix.column(fieldd, rhs)) if rhs else Matrix.zeros(fieldd, sysm.ncols, 1)
+    return slots, shapes, kernel_basis(sysm), part
 
 
 def find_triangle_morphism(s: NTriangle, t: NTriangle, require_iso: bool,
@@ -389,23 +345,24 @@ def find_triangle_morphism(s: NTriangle, t: NTriangle, require_iso: bool,
     verts = sorted(v for v in s.vertices & t.vertices if 0 < v[1] < s.n + 1)
     if require_iso and any(s.hdim(v) != t.hdim(v) for v in verts):
         return None
-    offs, total, hom, part = _solution_space(s, t, verts, pins=pins)
+    slots, shapes, hom, part = _solution_space(s, t, verts, pins=pins)
     if part is None:
         return None
     fieldd = s.fieldspec
+    part = [row[0] for row in part.rows()]
     if not require_iso:
-        return _psi_from_vector(offs, [part[i, 0] for i in range(total)], fieldd)
+        return dict(zip(slots, split_vector(fieldd, part, shapes)))
     rng = np.random.default_rng(seed)
     p = fieldd.p if not fieldd.is_rational else 101
+    cols = list(zip(*hom.rows()))
 
     def attempt(coeffs):
-        vals = [part[i, 0] for i in range(total)]
-        for c, col in zip(coeffs, range(hom.ncols)):
+        vals = part
+        for c, col in zip(coeffs, cols):
             if c:
-                for i in range(total):
-                    vals[i] = vals[i] + hom[i, col] * c
-        psi = _psi_from_vector(offs, vals, fieldd)
-        for (v, d), m in psi.items():
+                vals = [x + y * c for x, y in zip(vals, col)]
+        psi = dict(zip(slots, split_vector(fieldd, vals, shapes)))
+        for m in psi.values():
             if m.nrows != m.ncols or not is_invertible(m):
                 return None
         return psi

@@ -10,7 +10,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from .derived import ChainMap, Complex, DerivedObject, object_complex
-from .linalg import FieldSpec, Matrix, kernel_basis, rank
+from .linalg import (FieldSpec, Matrix, complement_columns, kernel_basis, split_vector,
+                     sylvester_system)
 from .rep import Rep, interval_module
 from .shapes import LineQuiver
 
@@ -157,86 +158,31 @@ def chain_map_space(cx: Complex, cy: Complex) -> List[ChainMap]:
     """Basis of chain maps cx -> cy (degreewise rep maps commuting with d)."""
     field, shape = cx.field, cx.shape
     degs = sorted(set(cx.degrees()) | set(cy.degrees()))
-    slots = []
-    offs = {}
-    total = 0
-    for d in degs:
-        for e in shape.elements:
-            r, c = cy.term(d).dims[e], cx.term(d).dims[e]
-            offs[(d, e)] = total
-            total += r * c
-            slots.append((d, e, r, c))
-    if total == 0:
+    slots = [(d, e) for d in degs for e in shape.elements]
+    shapes = [(cy.term(d).dims[e], cx.term(d).dims[e]) for d, e in slots]
+    if not any(r * c for r, c in shapes):
         return []
-    rows: List[List] = []
-
-    def add_rows(n_eq):
-        base = [[0] * total for _ in range(n_eq)]
-        rows.extend(base)
-        return base
-
+    idx = {s: i for i, s in enumerate(slots)}
     # rep-map constraints per degree
+    eqs = [(idx[(d, a)], cy.term(d).mats[(a, b)], idx[(d, b)], cx.term(d).mats[(a, b)])
+           for d in degs for (a, b) in shape.covers]
+    # differential constraints: dY f_d = f_{d-1} dX
     for d in degs:
-        for (a, b) in shape.covers:
-            ra, ca = cy.term(d).dims[a], cx.term(d).dims[a]
-            rb, cb = cy.term(d).dims[b], cx.term(d).dims[b]
-            ymat = cy.term(d).mats[(a, b)].rows()
-            xmat = cx.term(d).mats[(a, b)].rows()
-            neq = rb * ca
-            if neq == 0:
-                continue
-            block = add_rows(neq)
-            for r in range(rb):
-                for c in range(ca):
-                    eq = r * ca + c
-                    for k in range(ra):
-                        block[eq][offs[(d, a)] + k * ca + c] += ymat[r][k]
-                    for k in range(cb):
-                        block[eq][offs[(d, b)] + r * cb + k] -= xmat[k][c]
-    # differential constraints: f_{d-1} dX = dY f_d
-    for d in degs:
-        for e in shape.elements:
-            rb = cy.term(d - 1).dims[e]
-            ca = cx.term(d).dims[e]
-            neq = rb * ca
-            if neq == 0:
-                continue
-            dx = cx.diff(d)[e].rows()
-            dy = cy.diff(d)[e].rows()
-            cb = cx.term(d - 1).dims[e]
-            ra = cy.term(d).dims[e]
-            block = add_rows(neq)
-            for r in range(rb):
-                for c in range(ca):
-                    eq = r * ca + c
-                    for k in range(cb):
-                        block[eq][offs[(d - 1, e)] + r * cb + k] += dx[k][c]
-                    for k in range(ra):
-                        block[eq][offs[(d, e)] + k * ca + c] -= dy[r][k]
-    sys = Matrix.from_rows(field, rows) if rows else Matrix.zeros(field, 0, total)
-    basis = kernel_basis(sys) if rows else Matrix.identity(field, total)
+        if d - 1 in degs:
+            dx, dy = cx.diff(d), cy.diff(d)
+            eqs += [(idx[(d, e)], dy[e], idx[(d - 1, e)], dx[e]) for e in shape.elements]
+    sys = sylvester_system(field, shapes, eqs)
     out = []
-    for col in range(basis.ncols):
+    for col in zip(*kernel_basis(sys).rows()):
         comps: Dict[int, Dict] = {}
-        for (d, e, r, c) in slots:
-            comps.setdefault(d, {})[e] = Matrix.from_rows(
-                field, [[basis[offs[(d, e)] + i * c + j, col] for j in range(c)] for i in range(r)]) \
-                if r and c else Matrix.zeros(field, r, c)
-        for d in degs:
-            comps.setdefault(d, {})
-            for e in shape.elements:
-                comps[d].setdefault(e, Matrix.zeros(field, cy.term(d).dims[e], cx.term(d).dims[e]))
+        for (d, e), m in zip(slots, split_vector(field, col, shapes)):
+            comps.setdefault(d, {})[e] = m
         out.append(ChainMap(cx, cy, comps))
     return out
 
 
 def _flatten(cm: ChainMap, degs, shape) -> List:
-    vec = []
-    for d in degs:
-        for e in shape.elements:
-            m = cm.comp(d)[e]
-            vec.extend(m.rows()[i][j] for i in range(m.nrows) for j in range(m.ncols))
-    return vec
+    return [x for d in degs for e in shape.elements for row in cm.comp(d)[e].rows() for x in row]
 
 
 def nullhomotopic_space(cx: Complex, cy: Complex) -> List[ChainMap]:
@@ -266,27 +212,17 @@ def nullhomotopic_space(cx: Complex, cy: Complex) -> List[ChainMap]:
 
 
 def hom_class_data(cx: Complex, cy: Complex):
-    """(dimension of Hom_K(cx, cy), list of representatives spanning it)."""
+    """(dimension of Hom_K(cx, cy), list of representatives spanning it):
+    the chain maps that extend the null-homotopic span, chosen greedily."""
     field, shape = cx.field, cx.shape
     degs = sorted(set(cx.degrees()) | set(cy.degrees()))
     maps = chain_map_space(cx, cy)
     if not maps:
         return 0, []
-    nulls = nullhomotopic_space(cx, cy)
-    null_vecs = [_flatten(n, degs, shape) for n in nulls]
-    nmat = Matrix.from_rows(field, null_vecs) if null_vecs else None
-    base_rank = rank(nmat) if nmat is not None else 0
-    reps = []
-    cur_rows = list(null_vecs)
-    cur_rank = base_rank
-    for cm in maps:
-        vec = _flatten(cm, degs, shape)
-        trial = Matrix.from_rows(field, cur_rows + [vec])
-        r = rank(trial)
-        if r > cur_rank:
-            reps.append(cm)
-            cur_rows.append(vec)
-            cur_rank = r
+    cand = Matrix.from_rows(field, [_flatten(cm, degs, shape) for cm in maps]).transpose()
+    nulls = [_flatten(n, degs, shape) for n in nullhomotopic_space(cx, cy)]
+    sub = Matrix.from_rows(field, nulls).transpose() if nulls else Matrix.zeros(field, cand.nrows, 0)
+    reps = [maps[i] for i in complement_columns(sub, cand)]
     return len(reps), reps
 
 

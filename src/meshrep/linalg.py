@@ -9,9 +9,10 @@ heavy suites (tensor powers of duality bimodules) fast.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -394,6 +395,8 @@ def rank(m: Matrix) -> int:
 
 def kernel_basis(m: Matrix) -> Matrix:
     """Columns span ker(m); column count = ncols - rank."""
+    if m.nrows == 0:
+        return Matrix.identity(m.field, m.ncols)
     r, pivots = rref(m)
     free = [c for c in range(m.ncols) if c not in pivots]
     field = m.field
@@ -430,6 +433,59 @@ def solve(m: Matrix, b: Matrix) -> Optional[Matrix]:
     return Matrix.from_rows(field, xs) if m.ncols else Matrix.zeros(field, 0, b.ncols)
 
 
+def sylvester_system(field: FieldSpec, shapes: Sequence[Tuple[int, int]],
+                     equations: Iterable[Tuple[int, Optional[Matrix], int, Optional[Matrix]]]
+                     ) -> Matrix:
+    """Coefficient matrix of linear equations L X_a = X_b R in unknown matrices.
+
+    The unknowns X_i have the given (rows, cols) shapes and are flattened
+    row-major, one after another in the given order.  An equation
+    (a, L, b, R) contributes the entries of L X_a - X_b R as rows, row-major;
+    None stands for an identity.
+    """
+    offs = list(itertools.accumulate((r * c for r, c in shapes), initial=0))
+    total = offs[-1]
+    rows: List[List[Scalar]] = []
+    for a, left, b, right in equations:
+        (ra, ca), (rb, cb) = shapes[a], shapes[b]
+        lshape = (ra, ra) if left is None else (left.nrows, left.ncols)
+        rshape = (cb, cb) if right is None else (right.nrows, right.ncols)
+        if lshape != (rb, ra) or rshape != (cb, ca):
+            raise ValueError(f"equation on unknowns {a}, {b} does not fit their shapes")
+        # the nonzero (k, value) of each row of L and of each column of R
+        if left is None:
+            lnz = [[(i, 1)] for i in range(ra)]
+        else:
+            lnz = [[(k, x) for k, x in enumerate(row) if x] for row in left.rows()]
+        if right is None:
+            rnz = [[(j, 1)] for j in range(cb)]
+        else:
+            rrows = right.rows()
+            rnz = [[(k, row[j]) for k, row in enumerate(rrows) if row[j]] for j in range(ca)]
+        oa, ob = offs[a], offs[b]
+        for i in range(rb):
+            for j in range(ca):
+                row = [0] * total
+                for k, x in lnz[i]:
+                    row[oa + k * ca + j] += x
+                for k, x in rnz[j]:
+                    row[ob + i * cb + k] -= x
+                rows.append(row)
+    return Matrix(field, len(rows), total, rows) if rows else Matrix.zeros(field, 0, total)
+
+
+def split_vector(field: FieldSpec, vals: Sequence[Scalar],
+                 shapes: Sequence[Tuple[int, int]]) -> List[Matrix]:
+    """The matrices of the given shapes whose row-major entries, one after
+    another, are vals: the inverse of the flattening in sylvester_system."""
+    out, o = [], 0
+    for r, c in shapes:
+        out.append(Matrix(field, r, c, [vals[o + i * c:o + (i + 1) * c] for i in range(r)])
+                   if r and c else Matrix.zeros(field, r, c))
+        o += r * c
+    return out
+
+
 def complement_columns(sub: Matrix, cand: Matrix) -> List[int]:
     """Indices of the columns of cand that extend span(sub) to span([sub | cand]):
     the pivots of rref([sub | cand]) beyond the sub block."""
@@ -440,12 +496,16 @@ def complement_columns(sub: Matrix, cand: Matrix) -> List[int]:
 def complement_projection(sub: Matrix) -> Tuple[Matrix, Matrix]:
     """(proj, sec) for the quotient by span(sub), sub of full column rank:
     sec includes the complement spanned by the unit vectors that extend sub,
-    and proj projects onto it along span(sub)."""
-    n = sub.nrows
+    and proj projects onto it along span(sub).
+
+    The pivots of rref([sub | I]) are the columns of sub followed by those of
+    sec, so its right block is inv([sub | sec]) and proj is that block's rows
+    below sub's."""
+    n, k = sub.nrows, sub.ncols
     eye = Matrix.identity(sub.field, n)
-    sec = eye.submatrix(range(n), complement_columns(sub, eye))
-    inv = solve(Matrix.hstack(sub.field, [sub, sec], nrows=n), eye)
-    return inv.submatrix(range(sub.ncols, n), range(n)), sec
+    red, pivots = rref(Matrix.hstack(sub.field, [sub, eye], nrows=n))
+    sec = eye.submatrix(range(n), [p - k for p in pivots if p >= k])
+    return red.submatrix(range(k, n), range(k, k + n)), sec
 
 
 def column_space_basis(m: Matrix) -> Matrix:

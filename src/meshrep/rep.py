@@ -15,8 +15,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .linalg import (FieldSpec, Matrix, column_space_basis, complement_projection, inverse,
-                     is_invertible, kernel_basis, rank)
+from .linalg import (FieldSpec, Matrix, complement_columns, inverse, is_invertible, kernel_basis,
+                     split_vector, sylvester_system)
 from .shapes import Element, LineQuiver, Poset
 
 Cover = Tuple[Element, Element]
@@ -220,7 +220,7 @@ def injective_interval(q: LineQuiver, v: int) -> Interval:
 def hom_space(x: Rep, y: Rep) -> List[Dict[Element, Matrix]]:
     """Basis of the space of intertwiners x -> y.
 
-    Solves the linear system phi_b . x(a->b) = y(a->b) . phi_a over all covers.
+    Solves the linear system y(a->b) . phi_a = phi_b . x(a->b) over all covers.
     """
     if x.shape.elements != y.shape.elements:
         raise ValueError("shape mismatch")
@@ -228,49 +228,14 @@ def hom_space(x: Rep, y: Rep) -> List[Dict[Element, Matrix]]:
         raise ValueError("field mismatch")
     field = x.field
     elems = x.shape.elements
-    offs: Dict[Element, int] = {}
-    total = 0
-    for e in elems:
-        offs[e] = total
-        total += y.dims[e] * x.dims[e]
-    if total == 0:
+    shapes = [(y.dims[e], x.dims[e]) for e in elems]
+    if not any(r * c for r, c in shapes):
         return []
-    rows: List[Matrix] = []
-    for (a, b) in x.shape.covers:
-        na, nb = x.dims[a], x.dims[b]
-        ma, mb = y.dims[a], y.dims[b]
-        # constraint: Y_ab phi_a - phi_b X_ab = 0, unknowns phi_e flattened row-major
-        neq = mb * na
-        if neq == 0:
-            continue
-        block = Matrix.zeros(field, neq, total)
-        blk = block.rows()
-        yab = y.mats[(a, b)].rows()
-        xab = x.mats[(a, b)].rows()
-        for r in range(mb):
-            for c in range(na):
-                eq = r * na + c
-                # (Y phi_a)[r, c] = sum_k Y[r, k] phi_a[k, c]
-                for k in range(ma):
-                    blk[eq][offs[a] + k * na + c] += yab[r][k]
-                # (phi_b X)[r, c] = sum_k phi_b[r, k] X[k, c]
-                for k in range(nb):
-                    blk[eq][offs[b] + r * nb + k] -= xab[k][c]
-        rows.append(Matrix.from_rows(field, blk))
-    if rows:
-        sys = Matrix.vstack(field, rows, ncols=total)
-        basis = kernel_basis(sys)
-    else:
-        basis = Matrix.identity(field, total)
-    out = []
-    for col in range(basis.ncols):
-        phi = {}
-        for e in elems:
-            ne, me = x.dims[e], y.dims[e]
-            entries = [[basis[offs[e] + r * ne + c, col] for c in range(ne)] for r in range(me)]
-            phi[e] = Matrix.from_rows(field, entries) if me and ne else Matrix.zeros(field, me, ne)
-        out.append(phi)
-    return out
+    idx = {e: i for i, e in enumerate(elems)}
+    sys = sylvester_system(field, shapes, [(idx[a], y.mats[(a, b)], idx[b], x.mats[(a, b)])
+                                           for (a, b) in x.shape.covers])
+    return [dict(zip(elems, split_vector(field, col, shapes)))
+            for col in zip(*kernel_basis(sys).rows())]
 
 
 def hom_dim(x: Rep, y: Rep) -> int:
@@ -295,85 +260,31 @@ def ext1_dim(q: LineQuiver, x: Rep, y: Rep) -> int:
 # interval decomposition over line quivers
 
 
-def _limit(rep: Rep, elements: Sequence[Element]) -> Tuple[Matrix, Dict[Element, int]]:
-    """Inclusion of lim(rep | elements) into the product of the values."""
-    field = rep.field
-    sub = list(elements)
-    offs: Dict[Element, int] = {}
-    total = 0
-    for e in sub:
-        offs[e] = total
-        total += rep.dims[e]
-    rows = []
-    subset = set(sub)
-    for (a, b) in rep.shape.covers:
-        if a in subset and b in subset:
-            nb = rep.dims[b]
-            if nb == 0:
-                continue
-            block = Matrix.zeros(field, nb, total).rows()
-            mab = rep.mats[(a, b)].rows()
-            for r in range(nb):
-                for c in range(rep.dims[a]):
-                    block[r][offs[a] + c] += mab[r][c]
-                block[r][offs[b] + r] -= 1
-            rows.append(Matrix.from_rows(field, block))
-    if not rows:
-        return Matrix.identity(field, total), offs
-    sys = Matrix.vstack(field, rows, ncols=total)
-    return kernel_basis(sys), offs
-
-
-def _colimit(rep: Rep, elements: Sequence[Element]) -> Tuple[Matrix, Dict[Element, int]]:
-    """Projection from the coproduct of values onto colim(rep | elements),
-    returned as a matrix picking a basis of the quotient (rows = quotient
-    coordinates)."""
-    field = rep.field
-    sub = list(elements)
-    offs: Dict[Element, int] = {}
-    total = 0
-    for e in sub:
-        offs[e] = total
-        total += rep.dims[e]
-    cols = []
-    subset = set(sub)
-    for (a, b) in rep.shape.covers:
-        if a in subset and b in subset:
-            na = rep.dims[a]
-            mab = rep.mats[(a, b)].rows()
-            for c in range(na):
-                vec = [0] * total
-                vec[offs[a] + c] = 1
-                for r in range(rep.dims[b]):
-                    vec[offs[b] + r] -= mab[r][c]
-                cols.append(vec)
-    if not cols:
-        rel = Matrix.zeros(field, total, 0)
-    else:
-        rel = Matrix.from_rows(field, [list(r) for r in zip(*cols)]) if total else Matrix.zeros(field, 0, len(cols))
-    # quotient total / im(rel): project onto a complement of im(rel)
-    proj, _ = complement_projection(column_space_basis(rel))
-    return proj, offs
-
-
 def generalized_rank(rep: Rep, a: int, b: int) -> int:
     """Rank of the canonical map lim -> colim over the window [a, b].
 
     The canonical map evaluates a section at any single window element and
-    takes its class in the colimit (all choices agree there).
+    takes its class in the colimit (all choices agree there).  Sections are
+    the families of column vectors with M x_u = x_v along every window arrow
+    u -> v.  The colimit is the sum of the values modulo the relations
+    x - M x (x at u, M x at v), which are the rows of the system x_u = x_v M
+    in row vectors.  The rank is that of the evaluation at the first window
+    element modulo the relations.
     """
     window = [v for v in rep.shape.elements if a <= v <= b]
-    incl, offs = _limit(rep, window)
-    proj, _ = _colimit(rep, window)
-    v0 = window[0]
-    total = incl.nrows
     field = rep.field
-    rows = [[0] * incl.ncols for _ in range(total)]
-    comp = incl.rows()
-    for i in range(rep.dims[v0]):
-        rows[offs[v0] + i] = comp[offs[v0] + i]
-    ev = Matrix.from_rows(field, rows) if total else Matrix.zeros(field, 0, incl.ncols)
-    return rank(proj @ ev)
+    idx = {v: i for i, v in enumerate(window)}
+    dims = [rep.dims[v] for v in window]
+    arrows = [(idx[u], rep.mats[(u, v)], idx[v]) for (u, v) in rep.shape.covers
+              if u in idx and v in idx]
+    limit = sylvester_system(field, [(d, 1) for d in dims], [(u, m, v, None) for u, m, v in arrows])
+    sections = kernel_basis(limit)
+    relations = sylvester_system(field, [(1, d) for d in dims],
+                                 [(u, None, v, m) for u, m, v in arrows]).transpose()
+    at_first = sections.rows()[:dims[0]]
+    zeros = [[0] * sections.ncols for _ in range(sections.nrows - dims[0])]
+    ev = Matrix(field, sections.nrows, sections.ncols, at_first + zeros)
+    return len(complement_columns(relations, ev))
 
 
 def decompose(q: LineQuiver, x: Rep) -> Dict[Interval, int]:

@@ -4,7 +4,8 @@ import pytest
 from meshrep.armesh import (ARDiagram, build_ar, check_flip_sigma,
                             check_mesh_relations, mesh_hom_table, mesh_object,
                             suspension_orbits)
-from meshrep.derived import Complex, DerivedObject, normalize
+from meshrep.derived import Complex, DerivedObject, derived_hom_dim, normalize, object_complex
+from meshrep.hom_chain import hom_class_data, projective_model
 from meshrep.linalg import GF, Matrix
 from meshrep.rep import Interval, Rep, all_intervals, interval_module, random_interval_sum
 from meshrep.functors import serre, transport, transport_embedding
@@ -179,3 +180,20 @@ def test_exports():
     assert dot.startswith("digraph") and "->" in dot
     tikz = d.to_tikz()
     assert "tikzpicture" in tikz
+
+
+def test_hom_class_dim_matches_derived_hom_dim():
+    """Chain maps out of a projective model modulo homotopy have the
+    dimension of the derived hom, for every pair of mesh objects."""
+    nonzero = 0
+    for n in (1, 2, 3):
+        for q in all_orientations(n):
+            inner = MeshWindow(n, -1, n + 2).interior()
+            objs = {u: mesh_object(q, u) for u in inner}
+            models = {u: projective_model(q, objs[u], F)[0] for u in inner}
+            for u in inner:
+                for v in inner:
+                    want = derived_hom_dim(q, objs[u], objs[v], 0)
+                    assert hom_class_data(models[u], object_complex(q, objs[v], F))[0] == want
+                    nonzero += want != 0
+    assert nonzero == 311

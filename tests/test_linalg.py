@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from meshrep.linalg import (
     GF, MAX_PRIME, QQ, FieldSpec, Matrix, column_space_basis, complement_columns,
-    complement_projection, inverse, is_invertible, kernel_basis, rank, rref, solve,
+    complement_projection, inverse, is_invertible, kernel_basis, rank, rref, solve, split_vector,
+    sylvester_system,
 )
 
 FIELDS = [QQ, GF(5), GF(32003)]
@@ -171,3 +172,41 @@ def test_zero_and_identity_are_shared_and_immutable(field):
     rows = Matrix.identity(field, 3).rows()
     rows[1][1] = 0
     assert Matrix.identity(field, 3).rows() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize("field", [GF(5), GF(32003), QQ])
+@pytest.mark.parametrize("seed", range(5))
+def test_sylvester_system_matches_definition(field, seed):
+    rng = np.random.default_rng(seed)
+
+    def size():
+        return int(rng.integers(0, 4))
+
+    shapes = [(size(), size()) for _ in range(5)]
+    shapes[1] = shapes[0]  # two unknowns that an identity can connect
+    shapes[2] = (0, size())  # zero-size unknowns
+    shapes[3] = (size(), 0)
+    eqs = [(0, None, 1, None), (1, None, 0, Matrix.random(field, shapes[0][1], shapes[0][1], rng)),
+           (0, Matrix.random(field, shapes[1][0], shapes[0][0], rng), 1, None)]
+    for _ in range(6):
+        a, b = (int(i) for i in rng.integers(0, len(shapes), size=2))
+        (ra, ca), (rb, cb) = shapes[a], shapes[b]
+        left = None if ra == rb and rng.random() < 0.5 else Matrix.random(field, rb, ra, rng)
+        right = None if cb == ca and rng.random() < 0.5 else Matrix.random(field, cb, ca, rng)
+        eqs.append((a, left, b, right))
+    xs = [Matrix.random(field, r, c, rng) for r, c in shapes]
+    vec = [x for m in xs for row in m.rows() for x in row]
+    assert split_vector(field, vec, shapes) == xs
+
+    def apply(m, x, on_left):
+        if m is None:
+            return x
+        return m @ x if on_left else x @ m
+
+    want = [x for a, left, b, right in eqs
+            for row in (apply(left, xs[a], True) - apply(right, xs[b], False)).rows() for x in row]
+    system = sylvester_system(field, shapes, eqs)
+    assert system.ncols == len(vec)
+    assert system @ Matrix.column(field, vec) == Matrix.column(field, want)
+    with pytest.raises(ValueError):
+        sylvester_system(field, [(1, 2), (2, 2)], [(0, None, 1, None)])

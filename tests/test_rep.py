@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from meshrep.linalg import GF, QQ, Matrix
 from meshrep.rep import (
     Interval, all_intervals, assemble, decompose, ext1_dim, euler_form,
-    find_isomorphism, hom_dim, hom_space, injective, injective_interval,
+    find_isomorphism, generalized_rank, hom_dim, hom_space, injective, injective_interval,
     interval_module, projective, projective_interval, random_interval_sum,
     random_rep, simple, Rep,
 )
@@ -116,6 +116,20 @@ def test_decompose_random_reps_partition(n, seed):
     got = decompose(q, x)
     for v in q.vertices:
         assert sum(m for itv, m in got.items() if itv.i <= v <= itv.j) == x.dims[v]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+def test_generalized_rank_counts_intervals(field):
+    """The rank of lim -> colim over [a, b] counts the summands whose
+    interval contains [a, b]."""
+    rng = np.random.default_rng(3)
+    for n in range(1, 6):
+        for q in all_orientations(n):
+            x, multiset = random_interval_sum(q, field, rng)
+            for a in range(1, n + 1):
+                for b in range(a, n + 1):
+                    want = sum(m for itv, m in multiset.items() if itv.i <= a and b <= itv.j)
+                    assert generalized_rank(x, a, b) == want
 
 
 def test_hom_space_gives_intertwiners():
