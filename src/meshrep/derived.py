@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .linalg import (FieldSpec, Matrix, column_space_basis, complement_columns, kernel_basis,
-                     rank, solve)
+                     solve)
 from .linalg import rref  # noqa: F401  perfbench checks that its tracer wraps this binding
 from .rep import Interval, Rep, decompose, hom_dim, interval_module, direct_sum
 from .shapes import Element, LineQuiver, Poset, point_poset
@@ -24,7 +24,8 @@ class Complex:
     """A bounded chain complex of Reps over a fixed shape.
 
     Immutable: only the constructor writes terms and diffs, so absent degrees
-    can return the shared zero rep and zero matrices."""
+    can return the shared zero rep and zero matrices, and the homology bases
+    are computed once per complex and kept with it (see homology_basis)."""
 
     def __init__(self, shape: Poset, field: FieldSpec, terms: Dict[int, Rep],
                  diffs: Dict[int, RepMap], validate: bool = True):
@@ -35,6 +36,8 @@ class Complex:
         for d, phi in diffs.items():
             if d in self.terms and d - 1 in self.terms:
                 self.diffs[d] = phi
+        # degree -> element -> (boundaries, representatives); written only by homology_basis
+        self._homology: Dict[int, Dict[Element, Tuple[Matrix, Matrix]]] = {}
         if validate:
             self.validate()
 
@@ -317,34 +320,41 @@ def glue(base: Poset, spec: Optional[Poset], values: Dict, arrows: Dict) -> Comp
 # homology
 
 
-def homology_basis(lo: Matrix, hi: Matrix) -> Tuple[Matrix, Matrix]:
-    """(boundaries, representatives) at one element, for lo = d_d and
-    hi = d_{d+1}: a basis of im(hi), and the kernel-basis columns of lo that
-    extend it to a basis of the cycles."""
-    z = kernel_basis(lo)
-    b = column_space_basis(hi)
-    return b, z.submatrix(range(z.nrows), complement_columns(b, z))
+def homology_basis(c: Complex, d: int, e: Element) -> Tuple[Matrix, Matrix]:
+    """(boundaries, representatives) of H_d(c) at e: a basis of im(d_{d+1}),
+    and the kernel-basis columns of d_d that extend it to a basis of the
+    cycles.  Computed for every element of degree d on first use and kept on
+    c, which no code changes after construction."""
+    got = c._homology.get(d)
+    if got is None:
+        lo, hi = c.diff(d), c.diff(d + 1)
+        got = {}
+        for x in c.shape.elements:
+            z = kernel_basis(lo[x])
+            b = column_space_basis(hi[x])
+            got[x] = (b, z.submatrix(range(z.nrows), complement_columns(b, z)))
+        c._homology[d] = got
+    return got[e]
+
+
+def homology_coordinates(c: Complex, d: int, e: Element, cycles: Matrix) -> Matrix:
+    """The classes of the given d-cycles of c at e, as columns of coordinates
+    in the representatives of homology_basis(c, d, e)."""
+    bnd, reps = homology_basis(c, d, e)
+    basis = Matrix.hstack(c.field, [bnd, reps], nrows=cycles.nrows)
+    sol = solve(basis, cycles)
+    if sol is None:
+        raise RuntimeError(f"not a cycle of degree {d} at {e}")
+    return sol.submatrix(range(bnd.ncols, bnd.ncols + reps.ncols), range(cycles.ncols))
 
 
 def homology_rep(c: Complex, d: int) -> Rep:
     """H_d(c) as a Rep, with induced structure maps."""
-    field, shape = c.field, c.shape
-    bnd: Dict[Element, Matrix] = {}
-    reps: Dict[Element, Matrix] = {}
-    lo, hi = c.diff(d), c.diff(d + 1)
-    for e in shape.elements:
-        bnd[e], reps[e] = homology_basis(lo[e], hi[e])
-    mats = {}
-    for (a, b2) in shape.covers:
-        img = c.term(d).mats[(a, b2)] @ reps[a]
-        # express img columns in the basis [boundaries | representatives] at b2
-        basis = Matrix.hstack(field, [bnd[b2], reps[b2]], nrows=img.nrows)
-        sol = solve(basis, img)
-        if sol is None:
-            raise RuntimeError("homology structure map failed (cycle not in span)")
-        mats[(a, b2)] = sol.submatrix(range(bnd[b2].ncols, bnd[b2].ncols + reps[b2].ncols),
-                                      range(img.ncols))
-    return Rep(shape, field, {e: reps[e].ncols for e in shape.elements}, mats, validate=False)
+    shape = c.shape
+    reps = {e: homology_basis(c, d, e)[1] for e in shape.elements}
+    mats = {(a, b): homology_coordinates(c, d, b, c.term(d).mats[(a, b)] @ reps[a])
+            for (a, b) in shape.covers}
+    return Rep(shape, c.field, {e: r.ncols for e, r in reps.items()}, mats, validate=False)
 
 
 def homology_dims(c: Complex, e: Element) -> Dict[int, int]:
@@ -354,8 +364,7 @@ def homology_dims(c: Complex, e: Element) -> Dict[int, int]:
     if not degs:
         return out
     for d in range(min(degs), max(degs) + 1):
-        lo, hi = c.diff(d)[e], c.diff(d + 1)[e]
-        h = c.term(d).dims[e] - rank(lo) - rank(hi)
+        h = homology_basis(c, d, e)[1].ncols
         if h:
             out[d] = h
     return out

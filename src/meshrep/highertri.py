@@ -22,8 +22,9 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from .armesh import build_ar
-from .derived import ChainMap, Complex, cone, glue, homology_basis, homology_dims
-from .linalg import (FieldSpec, Matrix, inverse, is_invertible, kernel_basis, solve, split_vector,
+from .derived import (ChainMap, Complex, glue, homology_basis, homology_coordinates,
+                      homology_dims)
+from .linalg import (FieldSpec, Matrix, is_invertible, kernel_basis, solve, split_vector,
                      sylvester_system)
 from .linalg import rref  # noqa: F401  perfbench checks that its tracer wraps this binding
 from .shapes import (LineQuiver, MeshWindow, embed_iQ, induced_alpha, mesh_leq, mesh_map_f,
@@ -37,15 +38,9 @@ Vertex = Tuple[int, int]
 
 
 def homology_matrix(phi: ChainMap, d: int) -> Matrix:
-    src, tgt = phi.src, phi.tgt
-    _, rs = homology_basis(src.diff(d)[()], src.diff(d + 1)[()])
-    bt, rt = homology_basis(tgt.diff(d)[()], tgt.diff(d + 1)[()])
-    img = phi.comp(d)[()] @ rs
-    basis = Matrix.hstack(phi.src.field, [bt, rt], nrows=img.nrows)
-    sol = solve(basis, img)
-    if sol is None:
-        raise RuntimeError("image of a cycle is not a cycle")
-    return sol.submatrix(range(bt.ncols, bt.ncols + rt.ncols), range(img.ncols))
+    """H_d(phi) in the homology bases of its source and target."""
+    _, rs = homology_basis(phi.src, d, ())
+    return homology_coordinates(phi.tgt, d, (), phi.comp(d)[()] @ rs)
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +132,12 @@ class NTriangle:
 
 
 def canonical_phi(t: NTriangle, v: Vertex) -> Optional[Dict[int, Matrix]]:
-    """The canonical suspension identification at v, from the strictly
-    commuting rectangle through the two boundary corners; None when the
-    rectangle leaves the vertex set."""
+    """The canonical suspension identification at v: the connecting map
+    H_d(v) -> H_{d+1}(f v) of the strictly commuting rectangle v -> c1, c2 ->
+    f(v) through the two boundary corners, that is H(kappa) H(lambda)^-1 for
+    lambda: cone([p1; -p2]) -> Sigma v and kappa = (0, u1, u2): cone -> f v.
+    None when the rectangle leaves the vertex set or this is not an
+    isomorphism in every degree."""
     n = t.n
     k, l = v
     fv = mesh_map_f(n, v)
@@ -151,46 +149,33 @@ def canonical_phi(t: NTriangle, v: Vertex) -> Optional[Dict[int, Matrix]]:
     u1, u2 = t.path_map(c1, fv), t.path_map(c2, fv)
     if None in (p1, p2, u1, u2):
         return None
-    val = t.values[v]
-    fieldd = t.fieldspec
-    tsum = p1.tgt.direct_sum(p2.tgt)
-    comps = {}
-    for deg in sorted(set(val.degrees()) | set(tsum.degrees())):
-        e = ()
-        comps[deg] = {e: Matrix.vstack(fieldd, [p1.comp(deg)[e], -p2.comp(deg)[e]],
-                                       ncols=val.term(deg).dims[e])}
-    psi = ChainMap(val, tsum, comps)
-    cn = cone(psi)
-    fval = t.values[fv]
-    kappa_comps, lam_comps = {}, {}
-    sval = val.shift(1)
-    for deg in cn.degrees():
-        e = ()
-        xd = val.term(deg - 1).dims[e]
-        c1d = p1.tgt.term(deg).dims[e]
-        c2d = p2.tgt.term(deg).dims[e]
-        kappa_comps[deg] = {e: Matrix.hstack(
-            fieldd, [Matrix.zeros(fieldd, fval.term(deg).dims[e], xd),
-                     u1.comp(deg)[e], u2.comp(deg)[e]],
-            nrows=fval.term(deg).dims[e])}
-        lam_comps[deg] = {e: Matrix.hstack(
-            fieldd, [Matrix.identity(fieldd, xd), Matrix.zeros(fieldd, xd, c1d),
-                     Matrix.zeros(fieldd, xd, c2d)], nrows=xd)}
-    kappa = ChainMap(cn, fval, kappa_comps)
-    lam = ChainMap(cn, sval, lam_comps)
-    out = {}
+    val, fval = t.values[v], t.values[fv]
     degs = sorted(set(val.degrees()) | set(fval.degrees()))
-    for deg in range(min(degs) - 1, max(degs) + 2) if degs else []:
-        hl = homology_matrix(lam, deg + 1)
-        hk = homology_matrix(kappa, deg + 1)
-        if hl.nrows != hl.ncols or not is_invertible(hl):
+    if not degs:
+        return {}
+    lo, hi = degs[0], degs[-1]
+    # by the long exact sequence of the cone, H(lambda) is invertible in
+    # degrees lo..hi+2 exactly when both corners are acyclic there
+    if any(lo <= d <= hi + 2 for corner in (p1.tgt, p2.tgt) for d in homology_dims(corner, ())):
+        return None
+    out = {}
+    for deg in range(lo - 1, hi + 2):
+        reps = homology_basis(val, deg, ())[1]
+        if reps.ncols != homology_basis(fval, deg + 1, ())[1].ncols:
             return None
-        if hk.nrows != hk.ncols or not is_invertible(hk):
+        if not reps.ncols:
+            continue
+        # lift each representative x to the cone cycle (x, y1, y2):
+        # d y1 = -p1 x and d y2 = p2 x; kappa sends it to u1 y1 + u2 y2
+        y1 = solve(p1.tgt.diff(deg + 1)[()], -(p1.comp(deg)[()] @ reps))
+        y2 = solve(p2.tgt.diff(deg + 1)[()], p2.comp(deg)[()] @ reps)
+        if y1 is None or y2 is None:
+            raise RuntimeError(f"a path map from {v} is not a chain map")
+        m = homology_coordinates(fval, deg + 1, (),
+                                 u1.comp(deg + 1)[()] @ y1 + u2.comp(deg + 1)[()] @ y2)
+        if not is_invertible(m):
             return None
-        m = hk @ inverse(hl)
-        if m.nrows:
-            # H_{deg+1}(Sigma val) = H_deg(val) in the identical canonical basis
-            out[deg] = m
+        out[deg] = m
     return out
 
 

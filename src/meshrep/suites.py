@@ -30,6 +30,9 @@ DEFAULT_SEED = 20260810
 
 
 def run_seed(config_seed: Optional[int] = None) -> int:
+    """The seed of a run configured with config_seed (DEFAULT_SEED when None):
+    MESHREP_SEED overrides it when set.  An explicit `meshrep check --seed`
+    wins over both, so the CLI calls this only without one."""
     env = os.environ.get("MESHREP_SEED")
     if env is not None:
         return int(env)

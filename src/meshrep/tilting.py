@@ -14,8 +14,8 @@ from typing import Callable, Dict, Optional, Tuple
 from .armesh import ARDiagram, build_ar, mesh_object
 from .bimod import (Bimodule, bimodules_quasi_isomorphic, cancel_tensor, duality_module,
                     from_left_complex, identity_prof, to_left_complex)
-from .derived import (ChainMap, Complex, DerivedObject, derived_hom_graded, glue,
-                      normalize, restrict, restrict_map, split)
+from .derived import (ChainMap, Complex, DerivedObject, cone, derived_hom_graded, glue,
+                      is_acyclic, normalize, restrict, restrict_map, split)
 from .linalg import FieldSpec, Matrix
 from .rep import all_intervals, simple
 from .functors import (coxeter_minus, coxeter_plus, reflect_minus_obj, reflect_plus_obj,
@@ -169,8 +169,12 @@ def tilting_check(t: Bimodule, field: FieldSpec,
     qr: LineQuiver = t.right
     cols = {b: normalize(ql, restrict(t.complex, t.left_poset, lambda a: (a, b)))
             for b in qr.vertices}
-    # perfect: bounded complex with finite-dimensional entries
-    perfect = all(c.total_dim() < 10 ** 9 for c in cols.values())
+    # perfect: each column is quasi-isomorphic to a bounded complex of
+    # projectives, witnessed by a projective model whose augmentation has an
+    # acyclic cone (hom_chain is imported here, as in armesh, so that
+    # importing the package does not load it)
+    from .hom_chain import projective_model
+    perfect = all(is_acyclic(cone(projective_model(ql, c, field)[1])) for c in cols.values())
     # rigid: derived self-hom concentrated in degree 0
     rigid = True
     for b1 in qr.vertices:

@@ -5,7 +5,8 @@ counts as used when it appears in src/, tests/, scripts/ or README.md outside
 its own definition.  Functions registered as click commands are reached
 through the CLI and are exempt.
 
-No code writes into a Rep, Complex or ChainMap after its constructor.
+No code writes into a Rep, Complex or ChainMap after its constructor, and
+only homology_basis fills the homology bases kept on a Complex.
 """
 
 import ast
@@ -46,20 +47,35 @@ def test_no_unused_top_level_names():
 VALUE_FIELDS = {"dims", "mats", "terms", "diffs", "comps"}
 CONSTRUCTORS = {("Rep", "__init__"), ("Complex", "__init__")}
 MUTATORS = {"update", "pop", "popitem", "setdefault", "clear"}
+# the homology bases kept on a Complex: made empty by its constructor and
+# filled only by derived.homology_basis
+MEMO, MEMO_WRITER = "_homology", ("homology_basis",)
 
 
 def _writes_into_values(tree) -> list:
     """Lines outside Rep.__init__ and Complex.__init__ that assign into, or
-    call a mutating method of, the dims/mats/terms/diffs/comps of a value."""
+    call a mutating method of, the dims/mats/terms/diffs/comps of a value;
+    lines outside homology_basis that do so to the homology memo; and lines
+    outside Complex.__init__ that rebind the memo."""
     def field_of(node):
         while isinstance(node, ast.Subscript):
             node = node.value
-        return isinstance(node, ast.Attribute) and node.attr in VALUE_FIELDS
+        return node.attr if isinstance(node, ast.Attribute) else None
 
-    def written(target):
+    def writes(target):
+        """(field, rebound) for each attribute the assignment target writes."""
         if isinstance(target, (ast.Tuple, ast.List)):
-            return any(written(t) for t in target.elts)
-        return isinstance(target, ast.Subscript) and field_of(target)
+            return [w for t in target.elts for w in writes(t)]
+        if isinstance(target, ast.Subscript):
+            return [(field_of(target), False)]
+        if isinstance(target, ast.Attribute):
+            return [(target.attr, True)]
+        return []
+
+    def allowed(field, rebound, scope):
+        if field == MEMO:
+            return scope[-2:] == ("Complex", "__init__") if rebound else scope[-1:] == MEMO_WRITER
+        return rebound or field not in VALUE_FIELDS or scope[-2:] in CONSTRUCTORS
 
     bad = []
 
@@ -67,14 +83,15 @@ def _writes_into_values(tree) -> list:
         if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
             scope = scope + (node.name,)
         if isinstance(node, (ast.Assign, ast.Delete)):
-            hit = any(written(t) for t in node.targets)
+            found = [w for t in node.targets for w in writes(t)]
         elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            hit = written(node.target)
-        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            hit = node.func.attr in MUTATORS and field_of(node.func.value)
+            found = writes(node.target)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in MUTATORS:
+            found = [(field_of(node.func.value), False)]
         else:
-            hit = False
-        if hit and scope[-2:] not in CONSTRUCTORS:
+            found = []
+        if any(not allowed(field, rebound, scope) for field, rebound in found):
             bad.append(node.lineno)
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -84,13 +101,19 @@ def _writes_into_values(tree) -> list:
 
 
 def test_values_are_written_only_by_their_constructors():
-    """Zero reps and zero/identity matrices are shared, which is safe only
-    while no code writes into a Rep, Complex or ChainMap after building it."""
+    """Zero reps and zero/identity matrices are shared, and homology bases are
+    kept on a complex, which is safe only while no code writes into a Rep,
+    Complex or ChainMap after building it, and only homology_basis fills the
+    homology memo."""
     found = {mod.name: _writes_into_values(ast.parse(mod.read_text()))
              for mod in sorted(PACKAGE.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
     bad = ("def f(r, c, h):\n    r.dims[1] = 0\n    c.diffs[0][1] += h\n"
            "    h.comps[0].update({})\n    del r.mats[(1, 2)]\n"
            "    x[r.dims[1]], r.terms[0] = 0, 1\n    r.dims.pop(1)\n"
-           "class Rep:\n    def __init__(self):\n        self.mats[0] = 1\n")
-    assert _writes_into_values(ast.parse(bad)) == [2, 3, 4, 5, 6, 7]
+           "class Rep:\n    def __init__(self):\n        self.mats[0] = 1\n"
+           "def g(c):\n    c._homology[0] = {}\n    c._homology.clear()\n"
+           "def homology_basis(c, d):\n    c._homology[d] = {}\n    c._homology = {}\n"
+           "class Complex:\n    def __init__(self):\n        self._homology = {}\n"
+           "        self._homology[0] = {}\n")
+    assert _writes_into_values(ast.parse(bad)) == [2, 3, 4, 5, 6, 7, 12, 13, 16, 20]

@@ -10,8 +10,9 @@ from meshrep.derived import (
 )
 from meshrep.bimod import identity_prof
 from meshrep.functors import reflect_plus_obj
-from meshrep.linalg import GF, QQ, Matrix
-from meshrep.rep import Interval, interval_module, random_interval_sum, random_rep
+from meshrep.linalg import (GF, QQ, Matrix, column_space_basis, complement_columns, kernel_basis,
+                            rank, solve)
+from meshrep.rep import Interval, Rep, hom_space, interval_module, random_interval_sum, random_rep
 from meshrep.shapes import LineQuiver, all_orientations, point_poset
 
 F = GF(32003)
@@ -140,6 +141,46 @@ def test_homology_rep_induced_maps():
     h0 = homology_rep(cn, 0)
     assert h0.dims == {1: 1, 2: 0}
     assert homology_rep(cn, 1).is_zero()
+
+
+def fresh_homology_rep(c, d):
+    """H_d(c) from the differentials alone, with no bases kept on c: the
+    reference for homology_rep."""
+    bnd, reps = {}, {}
+    for e in c.shape.elements:
+        z = kernel_basis(c.diff(d)[e])
+        bnd[e] = column_space_basis(c.diff(d + 1)[e])
+        reps[e] = z.submatrix(range(z.nrows), complement_columns(bnd[e], z))
+    mats = {}
+    for (a, b) in c.shape.covers:
+        basis = Matrix.hstack(c.field, [bnd[b], reps[b]], nrows=c.term(d).dims[b])
+        sol = solve(basis, c.term(d).mats[(a, b)] @ reps[a])
+        mats[(a, b)] = sol.submatrix(range(bnd[b].ncols, basis.ncols), range(reps[a].ncols))
+    return Rep(c.shape, c.field, {e: reps[e].ncols for e in c.shape.elements}, mats)
+
+
+@pytest.mark.parametrize("field", [GF(5), QQ], ids=str)
+def test_homology_memo_matches_a_fresh_computation(field):
+    """homology_dims and homology_rep read the bases kept on a complex; at
+    every element and degree they equal a computation from the differentials
+    alone, over A_3 in every orientation."""
+    rng = np.random.default_rng(3)
+    for q in all_orientations(3):
+        for _ in range(3):
+            x, y = random_rep(q, field, rng), random_rep(q, field, rng)
+            f = {e: Matrix.zeros(field, y.dims[e], x.dims[e]) for e in q.vertices}
+            for h in hom_space(x, y):
+                k = int(rng.integers(1, 5))
+                f = {e: f[e] + h[e].scale(k) for e in q.vertices}
+            c = cone(ChainMap(Complex.from_rep(x), Complex.from_rep(y), {0: f}))
+            c = c.direct_sum(c.shift(1))
+            degs = range(min(c.degrees()) - 1, max(c.degrees()) + 2)
+            for e in q.vertices:
+                assert homology_dims(c, e) == {
+                    d: h for d in degs
+                    if (h := c.term(d).dims[e] - rank(c.diff(d)[e]) - rank(c.diff(d + 1)[e]))}
+            for d in degs:
+                assert homology_rep(c, d) == fresh_homology_rep(c, d)
 
 
 def test_bicartesian_parallel_identities():

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from meshrep.derived import Complex, normalize
-from meshrep.highertri import (NTriangle, base, extend_morphism, fill_base,
-                               flip, flip_without_sign, inverse_image,
+from meshrep.derived import ChainMap, Complex, cone, normalize
+from meshrep.highertri import (NTriangle, base, canonical_phi, extend_morphism, fill_base,
+                               flip, flip_without_sign, homology_matrix, inverse_image,
                                is_distinguished, standard_triangle, translate)
-from meshrep.linalg import GF, Matrix
+from meshrep.linalg import GF, QQ, Matrix, inverse, is_invertible
 from meshrep.rep import Rep, interval_module, random_interval_sum
-from meshrep.shapes import LineQuiver, MeshWindow, default_window
+from meshrep.shapes import LineQuiver, MeshWindow, default_window, mesh_map_f, mesh_map_f_inv
 
 F = GF(32003)
 
@@ -16,9 +16,9 @@ def wide_window(n):
     return MeshWindow(n, -1, 3 * (n + 1))
 
 
-def rand_complex(q, seed, total=2):
+def rand_complex(q, seed, total=2, field=F):
     rng = np.random.default_rng(seed)
-    x, _ = random_interval_sum(q, F, rng, max_total=total)
+    x, _ = random_interval_sum(q, field, rng, max_total=total)
     return Complex.from_rep(x)
 
 
@@ -58,11 +58,9 @@ def test_fill_base_roundtrip():
     assert t2.hdim((1, 1)) == {}
 
 
-def test_corrupted_triangle_rejected():
-    from meshrep.derived import ChainMap
-    from meshrep.shapes import mesh_map_f_inv
+def corrupted_triangle(field=F):
     q = LineQuiver.linear(2)
-    t = standard_triangle(q, rand_complex(q, 5), window=wide_window(2))
+    t = standard_triangle(q, rand_complex(q, 5, field=field), window=wide_window(2))
     v = next(v for v in t.interior() if t.hdim(v))
     # replace one interior value by a wrong canonical form (a shift) and
     # zero out the adjacent arrows and identifications
@@ -72,7 +70,105 @@ def test_corrupted_triangle_rejected():
             t.arrows[cov] = ChainMap.zero(t.values[cov[0]], t.values[cov[1]])
     t.phi.pop(v, None)
     t.phi.pop(mesh_map_f_inv(t.n, v), None)
-    assert not is_distinguished(t)
+    return t
+
+
+def test_corrupted_triangle_rejected():
+    assert not is_distinguished(corrupted_triangle())
+
+
+def cone_route_phi(t, v):
+    """The reference for canonical_phi: H(kappa) H(lambda)^-1 through the cone
+    of psi = [p1; -p2]: val -> c1 + c2, with lambda: cone -> Sigma val the
+    projection and kappa = (0, u1, u2): cone -> f(val); None when either is
+    not invertible in some degree."""
+    n = t.n
+    k, l = v
+    fv = mesh_map_f(n, v)
+    c1, c2 = (k, n + 1), (k + l, 0)
+    if any(u not in t.vertices for u in (fv, c1, c2)):
+        return None
+    p1, p2 = t.path_map(v, c1), t.path_map(v, c2)
+    u1, u2 = t.path_map(c1, fv), t.path_map(c2, fv)
+    if None in (p1, p2, u1, u2):
+        return None
+    val, fval, field, e = t.values[v], t.values[fv], t.fieldspec, ()
+    tsum = p1.tgt.direct_sum(p2.tgt)
+    psi = ChainMap(val, tsum, {
+        deg: {e: Matrix.vstack(field, [p1.comp(deg)[e], -p2.comp(deg)[e]],
+                               ncols=val.term(deg).dims[e])}
+        for deg in sorted(set(val.degrees()) | set(tsum.degrees()))})
+    cn = cone(psi)
+    kappa, lam = {}, {}
+    for deg in cn.degrees():
+        xd = val.term(deg - 1).dims[e]
+        yd = fval.term(deg).dims[e]
+        c1d, c2d = p1.tgt.term(deg).dims[e], p2.tgt.term(deg).dims[e]
+        kappa[deg] = {e: Matrix.hstack(field, [Matrix.zeros(field, yd, xd), u1.comp(deg)[e],
+                                               u2.comp(deg)[e]], nrows=yd)}
+        lam[deg] = {e: Matrix.hstack(field, [Matrix.identity(field, xd), Matrix.zeros(field, xd, c1d),
+                                             Matrix.zeros(field, xd, c2d)], nrows=xd)}
+    kappa, lam = ChainMap(cn, fval, kappa), ChainMap(cn, val.shift(1), lam)
+    out = {}
+    degs = sorted(set(val.degrees()) | set(fval.degrees()))
+    for deg in range(min(degs) - 1, max(degs) + 2) if degs else []:
+        hl = homology_matrix(lam, deg + 1)
+        if not is_invertible(hl):
+            return None
+        # hl first: where the rectangle does not commute, kappa is not a
+        # chain map and hk need not exist
+        hk = homology_matrix(kappa, deg + 1)
+        if not is_invertible(hk):
+            return None
+        m = hk @ inverse(hl)
+        if m.nrows:
+            # H_{deg+1}(Sigma val) = H_deg(val) in the identical basis
+            out[deg] = m
+    return out
+
+
+def corner_with_homology(field):
+    """A standard triangle whose boundary corner c1 = (k, n+1) of a middle
+    interior vertex v = (k, l) is replaced by the value at v, with the arrows
+    at c1 zeroed: the rectangle at v has a corner that is not acyclic."""
+    q = LineQuiver.linear(2)
+    t = standard_triangle(q, rand_complex(q, 6, field=field), window=wide_window(2))
+    inner = [v for v in t.interior() if t.phi.get(v)]
+    v = inner[len(inner) // 2]
+    c1 = (v[0], t.n + 1)
+    t.values[c1] = t.values[v]
+    for cov in list(t.arrows):
+        if c1 in cov:
+            t.arrows[cov] = ChainMap.zero(t.values[cov[0]], t.values[cov[1]])
+    return t
+
+
+def oracle_corpus(field):
+    """Standard triangles and their restrictions, flips and inverse images,
+    and the two corrupted triangles, over one field."""
+    out = [corrupted_triangle(field), corner_with_homology(field)]
+    for n in (2, 3):
+        q = LineQuiver.linear(n)
+        for seed in (31, 32):
+            x = rand_complex(q, seed + 10 * n, field=field).shift(seed % 2)
+            t = standard_triangle(q, x, window=wide_window(n))
+            out += [t, translate(t), flip(t), flip_without_sign(t)]
+            if n == 3:
+                out += [inverse_image(2, {1: 1, 2: 3}, t), inverse_image(1, {1: 2}, t)]
+    return out
+
+
+@pytest.mark.parametrize("field", [F, GF(5), QQ], ids=str)
+def test_canonical_phi_matches_cone_route(field):
+    """canonical_phi, read as a connecting map, equals H(kappa) H(lambda)^-1
+    through the cone at every interior vertex, None results included."""
+    seen = {"none": 0, "phi": 0}
+    for t in oracle_corpus(field):
+        for v in t.interior():
+            got = canonical_phi(t, v)
+            assert got == cone_route_phi(t, v), v
+            seen["none" if got is None else "phi"] += 1
+    assert seen["none"] and seen["phi"]
 
 
 def test_translate_flip_distinguished():

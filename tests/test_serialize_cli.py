@@ -93,6 +93,19 @@ def test_cli_seed_env(monkeypatch):
     assert run_seed(7) == 7
 
 
+def test_cli_check_seed_flag_wins_over_env(monkeypatch):
+    """`check --seed` wins over MESHREP_SEED, which is used without the flag."""
+    from meshrep.suites import ALL_SUITES, Report
+    monkeypatch.setitem(ALL_SUITES, "census",
+                        lambda seed, **kw: Report("census", True, f"seed {seed}"))
+    runner = CliRunner()
+    env = {"MESHREP_SEED": "424242"}
+    res = runner.invoke(main, ["check", "census", "--seed", "7"], env=env)
+    assert (res.exit_code, res.output) == (0, "[PASS] census: seed 7\n")
+    res = runner.invoke(main, ["check", "census"], env=env)
+    assert (res.exit_code, res.output) == (0, "[PASS] census: seed 424242\n")
+
+
 def test_cli_input_must_match_quiver_and_field(tmp_path):
     """An input over another shape or field is a usage error, from a file or stdin."""
     runner = CliRunner()

@@ -120,6 +120,23 @@ def test_tilting_check_reports():
     assert rep3.all_pass()
 
 
+def test_tilting_check_perfect_needs_a_quasi_isomorphic_model(monkeypatch):
+    """perfect rests on the projective model of each column: with its
+    augmentation corrupted to zero the cone is not acyclic."""
+    import meshrep.hom_chain as hom_chain
+    from meshrep.derived import ChainMap
+    q = LineQuiver.linear(3)
+    iq = identity_prof(q, F)
+    assert tilting_check(iq, F).perfect
+    model = hom_chain.projective_model
+
+    def zero_augmentation(*args):
+        p, aug = model(*args)
+        return p, ChainMap.zero(p, aug.tgt)
+    monkeypatch.setattr(hom_chain, "projective_model", zero_augmentation)
+    assert not tilting_check(iq, F).perfect
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_picard(n):
     rep = picard_check(n, F)
