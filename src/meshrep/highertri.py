@@ -205,8 +205,8 @@ def fill_base(q: LineQuiver, x: Complex, window: Optional[MeshWindow] = None) ->
 # closure operations
 
 
-def _relocate(t: NTriangle, vmap: Callable[[Vertex], Vertex], m: Optional[int] = None,
-              collapse: bool = False) -> Tuple[Set[Vertex], Dict, Dict]:
+def _relocate(t: NTriangle, vmap: Callable[[Vertex], Vertex],
+              m: Optional[int] = None) -> Tuple[Set[Vertex], Dict, Dict]:
     """Pull the strict diagram back along a map of mesh categories."""
     n_new = m if m is not None else t.n
     ks = [v[0] for v in t.vertices]

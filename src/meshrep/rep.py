@@ -394,18 +394,19 @@ def random_interval_sum(q: LineQuiver, field: FieldSpec, rng: np.random.Generato
         multiset[itv] = multiset.get(itv, 0) + 1
     plain = assemble(q, multiset, field)
     # conjugate by random invertible base changes at each vertex
-    changes = {}
+    changes = {}  # vertex -> (g, g^-1)
     for v in q.vertices:
         d = plain.dims[v]
-        while True:
+        while v not in changes:
             g = Matrix.random(field, d, d, rng)
-            if d == 0 or is_invertible(g):
-                break
-        changes[v] = g
+            try:
+                changes[v] = g, inverse(g)
+            except ValueError:  # singular: draw again
+                pass
     mats = {}
     for (u, v) in q.arrows():
-        gu, gv = changes[u], changes[v]
-        mats[(u, v)] = gv @ plain.mats[(u, v)] @ inverse(gu) if plain.dims[u] and plain.dims[v] \
+        (gv, _), (_, gu_inv) = changes[v], changes[u]
+        mats[(u, v)] = gv @ plain.mats[(u, v)] @ gu_inv if plain.dims[u] and plain.dims[v] \
             else Matrix.zeros(field, plain.dims[v], plain.dims[u])
     twisted = Rep(q.poset(), field, dict(plain.dims), mats, validate=False)
     return twisted, multiset

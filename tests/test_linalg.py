@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -77,6 +79,18 @@ def test_block_and_inverse():
     assert (a @ ai) == Matrix.identity(f, 2)
 
 
+@pytest.mark.parametrize("field", FIELDS)
+def test_inverse_of_singular_matrix_raises(field):
+    for rows in ([[1, 2], [2, 4]], [[0, 0], [0, 0]], [[1, 0, 1], [0, 1, 1], [1, 1, 2]]):
+        with pytest.raises(ValueError, match="singular"):
+            inverse(Matrix.from_rows(field, rows))
+    m = Matrix.from_rows(field, [[0, 1, 2], [1, 0, 3], [4, -3, 8]])
+    assert m @ inverse(m) == Matrix.identity(field, 3) == inverse(m) @ m
+    assert inverse(Matrix.zeros(field, 0, 0)) == Matrix.zeros(field, 0, 0)
+    with pytest.raises(ValueError, match="non-square"):
+        inverse(Matrix.zeros(field, 2, 3))
+
+
 def test_column_space_basis():
     m = Matrix.from_rows(QQ, [[1, 2, 3], [2, 4, 6], [0, 0, 1]])
     b = column_space_basis(m)
@@ -101,39 +115,129 @@ PRIMES = st.one_of(st.just(65521),
                        lambda n: next(p for p in range(n, 1, -1) if _is_prime(p))))
 
 
+# Plain-list references; p is a prime, or None for Q (entries are Fractions).
+
+
+def _red(x, p):
+    return x % p if p else x
+
+
 def _ref_matmul(a, b, p):
-    return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+    return [[_red(sum(x * y for x, y in zip(row, col)), p) for col in zip(*b)] for row in a]
 
 
 def _ref_rref(a, p):
-    a = [[x % p for x in row] for row in a]
+    a = [[_red(x, p) for x in row] for row in a]
     pivots, r = [], 0
     for c in range(len(a[0]) if a else 0):
         sel = next((i for i in range(r, len(a)) if a[i][c]), None)
         if sel is None:
             continue
         a[r], a[sel] = a[sel], a[r]
-        inv = pow(a[r][c], p - 2, p)
-        a[r] = [x * inv % p for x in a[r]]
+        inv = pow(a[r][c], p - 2, p) if p else 1 / a[r][c]
+        a[r] = [_red(x * inv, p) for x in a[r]]
         for i in range(len(a)):
             if i != r and a[i][c]:
                 f = a[i][c]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+                a[i] = [_red(x - f * y, p) for x, y in zip(a[i], a[r])]
         pivots.append(c)
         r += 1
     return a, pivots
 
 
+def _ref_kernel(a, ncols, p):
+    """Columns e_f - sum_i red[i][f] e_{pivot i}, one per free column f."""
+    red, pivots = _ref_rref(a, p)
+    free = [c for c in range(ncols) if c not in pivots]
+    cols = []
+    for f in free:
+        col = [0] * ncols
+        col[f] = 1
+        for i, pc in enumerate(pivots):
+            col[pc] = _red(-red[i][f], p)
+        cols.append(col)
+    return [list(row) for row in zip(*cols)] if cols else [[] for _ in range(ncols)]
+
+
+def _ref_solve(a, b, p):
+    """The solution of rref([a | b]) with the free unknowns zero, or None."""
+    n, k = len(a[0]), len(b[0])
+    red, pivots = _ref_rref([ra + rb for ra, rb in zip(a, b)], p)
+    if any(pc >= n for pc in pivots):
+        return None
+    x = [[0] * k for _ in range(n)]
+    for i, pc in enumerate(pivots):
+        x[pc] = red[i][n:]
+    return x
+
+
+def _check_against_reference(f, p, a, b, c):
+    """a (r x k), b (k x l), c (r x k) as lists, reduced by the constructor;
+    every operation of Matrix and the eliminations against the plain-list
+    references.  Entries must come out as Fractions over Q, ints over F_p."""
+    def rows(m):
+        got = m.rows()
+        assert all(type(x) is (int if p else Fraction) for row in got for x in row)
+        return got
+
+    a, b, c = ([[_red(x, p) for x in row] for row in m] for m in (a, b, c))
+    ma, mb, mc = (Matrix.from_rows(f, x) for x in (a, b, c))
+    r, k, l = len(a), len(a[0]), len(b[0])
+    assert rows(ma @ mb) == _ref_matmul(a, b, p)
+    assert rows(ma + mc) == [[_red(x + y, p) for x, y in zip(u, v)] for u, v in zip(a, c)]
+    assert rows(ma - mc) == [[_red(x - y, p) for x, y in zip(u, v)] for u, v in zip(a, c)]
+    assert rows(-ma) == [[_red(-x, p) for x in u] for u in a]
+    assert rows(ma.scale(3)) == [[_red(3 * x, p) for x in u] for u in a]
+    assert rows(ma.transpose()) == [list(col) for col in zip(*a)]
+    assert rows(ma.kron(mb)) == [[_red(x * y, p) for x in u for y in v] for u in a for v in b]
+    assert rows(Matrix.hstack(f, [ma, mc])) == [u + v for u, v in zip(a, c)]
+    assert rows(Matrix.vstack(f, [ma, mc])) == a + c
+    assert rows(Matrix.block(f, [[ma, None], [None, mb]], [r, k], [k, l])) == \
+        [u + [0] * l for u in a] + [[0] * k + v for v in b]
+    ri, ci = list(range(r - 1, -1, -2)), [j for j in range(k) if j % 3 != 1]
+    assert rows(ma.submatrix(ri, ci)) == [[a[i][j] for j in ci] for i in ri]
+    for m in (a, b, a + c):
+        red, pivots = rref(Matrix.from_rows(f, m))
+        assert (rows(red), pivots) == _ref_rref(m, p)
+        assert rows(kernel_basis(Matrix.from_rows(f, m))) == _ref_kernel(m, len(m[0]), p)
+    for rhs in ((ma @ mb).rows(), c):  # consistent, and most likely not
+        got = solve(ma, Matrix.from_rows(f, rhs))
+        assert (got and rows(got)) == _ref_solve(a, rhs, p)
+    assert rows(ma) == a and ma[r - 1, k - 1] == a[-1][-1]
+
+
+# matrix sides on both sides of the numpy threshold: up to 7 (up to 343
+# products in @) and 12 to 16 (144 to 256 entries)
+SIDES = st.one_of(st.integers(1, 7), st.integers(12, 16))
+
+
+def _draw_matrix(data, nrows, ncols, entries):
+    """Rows of entries; zeros are likely, so that ranks drop."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 10 ** 6)))
+    pick = data.draw(entries)
+    return [[pick(rng) if rng.random() < 0.6 else 0 for _ in range(ncols)] for _ in range(nrows)]
+
+
 @settings(max_examples=80, deadline=None)
-@given(PRIMES, st.integers(1, 5), st.integers(1, 5), st.integers(1, 5), st.data())
+@given(PRIMES, SIDES, SIDES, SIDES, st.data())
 def test_fp_arithmetic_matches_integer_reference(p, nr, k, nc, data):
-    f = GF(p)
-    entries = st.one_of(st.just(p - 1), st.integers(0, p - 1))
-    a = data.draw(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=nr, max_size=nr))
-    b = data.draw(st.lists(st.lists(entries, min_size=nc, max_size=nc), min_size=k, max_size=k))
-    assert (Matrix.from_rows(f, a) @ Matrix.from_rows(f, b)).rows() == _ref_matmul(a, b, p)
-    red, pivots = rref(Matrix.from_rows(f, a))
-    assert (red.rows(), pivots) == _ref_rref(a, p)
+    # entries: all p - 1 (the overflow edge), small and unreduced, or uniform
+    entries = st.sampled_from([lambda rng: p - 1, lambda rng: int(rng.integers(-2, 3)),
+                               lambda rng: int(rng.integers(0, p))])
+    a, c = (_draw_matrix(data, nr, k, entries) for _ in range(2))
+    b = _draw_matrix(data, k, nc, entries)
+    _check_against_reference(GF(p), p, a, b, c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6), st.data())
+def test_q_arithmetic_matches_fraction_reference(nr, k, nc, data):
+    entries = st.sampled_from([lambda rng: Fraction(int(rng.integers(-4, 5))),
+                               lambda rng: Fraction(int(rng.integers(-9, 10)),
+                                                    int(rng.integers(1, 7)))])
+    a, c = (_draw_matrix(data, nr, k, entries) for _ in range(2))
+    b = _draw_matrix(data, k, nc, entries)
+    _check_against_reference(QQ, None, a, b, c)
 
 
 @settings(max_examples=60, deadline=None)
@@ -159,12 +263,10 @@ def test_zero_and_identity_are_shared_and_immutable(field):
     assert Matrix.identity(field, 3) is Matrix.identity(field, 3)
     assert z is not Matrix.zeros(field, 3, 2)
     for m in (z, Matrix.identity(field, 3)):
-        if field.is_rational:
-            assert isinstance(m._rows, tuple) and all(isinstance(r, tuple) for r in m._rows)
-        else:
-            assert not m._a.flags.writeable
-            with pytest.raises(ValueError):
-                m._a[0, 0] = 1
+        # the storage is immutable: bytes over F_p, a tuple over Q
+        assert type(m._data) is (tuple if field.is_rational else bytes)
+        with pytest.raises(TypeError):
+            m._data[0] = 1
     rows = z.rows()
     rows[0][0] = 1
     rows.append([1, 1, 1])
