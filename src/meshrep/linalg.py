@@ -5,14 +5,15 @@ kernel / solve over an exact field, so no floating point appears anywhere in
 the package.  A Matrix keeps its entries in one flat, row-major, immutable
 sequence: a tuple of Fractions over Q, bytes of 16-bit entries over F_p.  Most
 matrices are tiny, so operations run over Python lists, one Gauss-Jordan
-elimination serving both fields; F_p operations on more than _NUMPY_ENTRIES =
-144 entries (the measured break-even) run in numpy, on exact int64 copies.
+elimination serving both fields.  Over F_p, rref, kron, submatrix and the
+constructor run in numpy above _NUMPY_ENTRIES = 144 entries, and products above
+_NUMPY_PRODUCTS = 16 multiplications, on exact int64 copies: the measured
+break-evens, given below.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,12 +26,21 @@ DEFAULT_PRIME = 32003  # large enough that random invertibility searches succeed
 # Entries are stored in 16 bits, and on the numpy path int64 products stay
 # exact: k (p-1)^2 < 2^63 for every inner dimension k < 2^31.
 MAX_PRIME = 2 ** 16
-# F_p operations on more than this many entries (for @, products r*k*c) run
-# in numpy.  Measured per call on a 2-core x86-64 host (Python 3.11, numpy
-# 2.4), list path against numpy, random F_32003 input: rref 4x4 30 against
-# 138 us, 12x12 267 against 268, 16x16 654 against 409, [m | I] 8x16 150
-# against 183, 9x18 245 against 216; kron to 144 entries 32 against 30 us.
+# Over F_p, rref, kron, submatrix and the constructor run in numpy on more
+# than this many entries.  Measured per call on a 2-core x86-64 host (Python
+# 3.11, numpy 2.4), list path against numpy, random F_32003 input: rref 8x8
+# 114 against 277 us, 12x12 381 against 324, 24x24 2332 against 707, [m | I]
+# 8x16 212 against 213, 9x18 331 against 322; kron 3x3 (x) 4x4 31 against 31,
+# 4x4 (x) 4x4 49 against 33; submatrix to 72 entries 12 against 17, 84
+# entries 16 against 13; constructor from 12x12 lists 13 against 9, 8x8 6
+# against 9.  The picard and tilting suites need the numpy constructor and
+# submatrix (inputs up to 1.2M entries): on the list path they took 0.8-1.1 s
+# longer each.  + - scale and transpose stay on the list path at every size.
 _NUMPY_ENTRIES = 144
+# F_p products of more than this many multiplications r*k*c run in numpy:
+# 2x4 @ 4x2 9.0 against 10.6 us, 2x2 @ 2x2 9.1 against 11.1, 3x3 @ 3x2 8.2
+# against 7.6, 3x3 @ 3x3 12.1 against 11.1, 5x5 @ 5x5 36 against 10.
+_NUMPY_PRODUCTS = 16
 
 
 @dataclass(frozen=True)
@@ -41,6 +51,8 @@ class FieldSpec:
     p: Optional[int] = None
 
     def __post_init__(self):
+        if self.kind == "Q" and self.p is not None:
+            raise ValueError(f"the rationals have no characteristic p, got {self.p}")
         if self.kind == "Fp":
             if self.p is not None and self.p >= MAX_PRIME:
                 raise ValueError(f"characteristic must be below 2^16 = {MAX_PRIME} "
@@ -74,7 +86,16 @@ def GF(p: int = DEFAULT_PRIME) -> FieldSpec:
 
 
 def _is_prime(n: int) -> bool:
-    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
 
 
 Scalar = Union[int, Fraction]
@@ -127,7 +148,9 @@ class Matrix:
 
     @staticmethod
     def from_rows(field: FieldSpec, rows: Sequence[Sequence[Scalar]]) -> "Matrix":
-        return Matrix(field, len(rows), len(rows[0]) if rows else 0, rows)
+        nrows = len(rows)
+        ncols = len(rows[0]) if nrows else 0
+        return Matrix(field, nrows, ncols, rows)
 
     @staticmethod
     def column(field: FieldSpec, entries: Sequence[Scalar]) -> "Matrix":
@@ -172,8 +195,6 @@ class Matrix:
         r, c = self.nrows, self.ncols
         if (r, c) != (other.nrows, other.ncols):
             raise ValueError(f"shape mismatch {r}x{c} vs {other.nrows}x{other.ncols}")
-        if _numpy_size(self.field, r * c):
-            return _from_np(self.field, op(_np(self), _np(other)))
         return _from_vals(self.field, r, c, list(map(op, _entries(self), _entries(other))))
 
     def __add__(self, other: "Matrix") -> "Matrix":
@@ -187,8 +208,6 @@ class Matrix:
 
     def scale(self, c: Scalar) -> "Matrix":
         c = Fraction(c) if self.field.p is None else int(c) % self.field.p
-        if _numpy_size(self.field, self.nrows * self.ncols):
-            return _from_np(self.field, _np(self) * c)
         return _from_vals(self.field, self.nrows, self.ncols, [c * x for x in _entries(self)])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
@@ -199,7 +218,7 @@ class Matrix:
             raise ValueError(f"dimension mismatch {r}x{k} @ {other.nrows}x{c}")
         if k == 0 or r == 0 or c == 0:
             return Matrix.zeros(self.field, r, c)
-        if _numpy_size(self.field, r * k * c):
+        if self.field.p is not None and r * k * c > _NUMPY_PRODUCTS:
             return _from_np(self.field, _np(self) @ _np(other))
         a, b = _entries(self), _entries(other)
         cols = [b[j::c] for j in range(c)]
@@ -208,8 +227,6 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         r, c = self.nrows, self.ncols
-        if _numpy_size(self.field, r * c):
-            return _from_np(self.field, _np(self).T)
         vals = _entries(self)
         return _from_vals(self.field, c, r, [x for j in range(c) for x in vals[j::c]], True)
 
@@ -274,8 +291,11 @@ class Matrix:
         r, c, n = len(row_idx), len(col_idx), self.ncols
         if _numpy_size(self.field, r * c):
             return _from_np(self.field, _np(self)[np.ix_(row_idx, col_idx)])
+        # indices go through range() so that a wrong one raises IndexError
+        starts = [range(self.nrows)[i] * n for i in row_idx]
+        col_idx = [range(n)[j] for j in col_idx]
         d = self._data if self.field.p is None else memoryview(self._data).cast("H")
-        return _from_vals(self.field, r, c, [d[i * n + j] for i in row_idx for j in col_idx], True)
+        return _from_vals(self.field, r, c, [d[i + j] for i in starts for j in col_idx], True)
 
 
 # A Matrix never changes (its storage is bytes or a tuple), so zero and
@@ -323,7 +343,7 @@ def _zero_data(field: FieldSpec, n: int):
 
 
 def _numpy_size(field: FieldSpec, n: int) -> bool:
-    """Whether an F_p operation of size n runs in numpy."""
+    """Whether an F_p rref, kron, submatrix or construction of n entries runs in numpy."""
     return field.p is not None and n > _NUMPY_ENTRIES
 
 
@@ -402,7 +422,9 @@ def rref(m: Matrix) -> Tuple[Matrix, List[int]]:
 
 def rank(m: Matrix) -> int:
     """Rank via exact Gaussian elimination."""
-    return len(rref(m)[1]) if m.nrows and m.ncols else 0
+    if m.nrows == 0 or m.ncols == 0:
+        return 0
+    return len(rref(m)[1])
 
 
 def kernel_basis(m: Matrix) -> Matrix:
@@ -458,10 +480,15 @@ def sylvester_system(field: FieldSpec, shapes: Sequence[Tuple[int, int]],
         if lshape != (rb, ra) or rshape != (cb, ca):
             raise ValueError(f"equation on unknowns {a}, {b} does not fit their shapes")
         # the nonzero (k, value) of each row of L and of each column of R
-        lnz = [[(i, 1)] for i in range(ra)] if left is None else \
-            [[(k, x) for k, x in enumerate(row) if x] for row in left.rows()]
-        rnz = [[(j, 1)] for j in range(cb)] if right is None else \
-            [[(k, x) for k, x in enumerate(col) if x] for col in right.transpose().rows()]
+        if left is None:
+            lnz = [[(i, 1)] for i in range(ra)]
+        else:
+            lnz = [[(k, x) for k, x in enumerate(row) if x] for row in left.rows()]
+        if right is None:
+            rnz = [[(j, 1)] for j in range(cb)]
+        else:
+            rrows = right.rows()
+            rnz = [[(k, row[j]) for k, row in enumerate(rrows) if row[j]] for j in range(ca)]
         oa, ob = offs[a], offs[b]
         for i in range(rb):
             for j in range(ca):
@@ -496,9 +523,11 @@ def complement_columns(sub: Matrix, cand: Matrix) -> List[int]:
 def complement_projection(sub: Matrix) -> Tuple[Matrix, Matrix]:
     """(proj, sec) for the quotient by span(sub), sub of full column rank:
     sec includes the complement spanned by the unit vectors that extend sub,
-    and proj projects onto it along span(sub).  The pivots of rref([sub | I])
-    are the columns of sub followed by those of sec, so its right block is
-    inv([sub | sec]) and proj is that block's rows below sub's."""
+    and proj projects onto it along span(sub).
+
+    The pivots of rref([sub | I]) are the columns of sub followed by those of
+    sec, so its right block is inv([sub | sec]) and proj is that block's rows
+    below sub's."""
     n, k = sub.nrows, sub.ncols
     eye = Matrix.identity(sub.field, n)
     red, pivots = rref(Matrix.hstack(sub.field, [sub, eye], nrows=n))

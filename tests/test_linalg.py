@@ -105,6 +105,27 @@ def test_large_primes_rejected():
     assert GF(65521).p == 65521  # the largest prime below the bound
 
 
+def test_rationals_take_no_characteristic():
+    # a FieldSpec("Q", 5) would claim is_rational while its matrices compute mod 5
+    with pytest.raises(ValueError, match="rationals"):
+        FieldSpec("Q", 5)
+    assert FieldSpec("Q") == QQ and QQ.p is None
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("n", [3, 13])  # 13 x 13 takes the numpy path over F_p
+def test_submatrix_indices_are_checked(field, n):
+    m = Matrix.from_rows(field, [[i * n + j for j in range(n)] for i in range(n)])
+    rows, cols = list(range(n)), list(range(n))
+    for bad_rows, bad_cols in ((rows, [n]), ([n], cols), (rows, cols[:-1] + [n + 1])):
+        with pytest.raises(IndexError):
+            m.submatrix(bad_rows, bad_cols)
+    # negative indices count from the end, as in Python and numpy
+    assert m.submatrix([-1] + rows[1:], cols).rows() == \
+        m.submatrix([n - 1] + rows[1:], cols).rows()
+    assert m.submatrix([0], [-1])[0, 0] == m[0, n - 1]
+
+
 def _is_prime(n):
     return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
 
@@ -196,6 +217,8 @@ def _check_against_reference(f, p, a, b, c):
         [u + [0] * l for u in a] + [[0] * k + v for v in b]
     ri, ci = list(range(r - 1, -1, -2)), [j for j in range(k) if j % 3 != 1]
     assert rows(ma.submatrix(ri, ci)) == [[a[i][j] for j in ci] for i in ri]
+    ri, ci = list(range(r - 1, -1, -1)) + [0], list(range(k))  # the numpy path from 12 x 12
+    assert rows(ma.submatrix(ri, ci)) == [[a[i][j] for j in ci] for i in ri]
     for m in (a, b, a + c):
         red, pivots = rref(Matrix.from_rows(f, m))
         assert (rows(red), pivots) == _ref_rref(m, p)
@@ -206,8 +229,8 @@ def _check_against_reference(f, p, a, b, c):
     assert rows(ma) == a and ma[r - 1, k - 1] == a[-1][-1]
 
 
-# matrix sides on both sides of the numpy threshold: up to 7 (up to 343
-# products in @) and 12 to 16 (144 to 256 entries)
+# matrix sides on both sides of the numpy thresholds: up to 7 (49 entries, and
+# 1 to 343 products in @, whose threshold is 16) and 12 to 16 (144 to 256 entries)
 SIDES = st.one_of(st.integers(1, 7), st.integers(12, 16))
 
 
