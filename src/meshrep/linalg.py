@@ -33,9 +33,11 @@ MAX_PRIME = 2 ** 16
 # 8x16 212 against 213, 9x18 331 against 322; kron 3x3 (x) 4x4 31 against 31,
 # 4x4 (x) 4x4 49 against 33; submatrix to 72 entries 12 against 17, 84
 # entries 16 against 13; constructor from 12x12 lists 13 against 9, 8x8 6
-# against 9.  The picard and tilting suites need the numpy constructor and
-# submatrix (inputs up to 1.2M entries): on the list path they took 0.8-1.1 s
-# longer each.  + - scale and transpose stay on the list path at every size.
+# against 9.  The picard and tilting suites (11-12 s each) need the numpy
+# constructor and submatrix, whose inputs reach 1.2M entries: on the list path
+# these two took 1.5 and 0.8 s longer.  + - scale and transpose have no numpy
+# path: the suites never apply + - or transpose to large matrices, and scale
+# on the list path cost picard 0.1 s.
 _NUMPY_ENTRIES = 144
 # F_p products of more than this many multiplications r*k*c run in numpy:
 # 2x4 @ 4x2 9.0 against 10.6 us, 2x2 @ 2x2 9.1 against 11.1, 3x3 @ 3x2 8.2
