@@ -127,13 +127,15 @@ def _reflect_core(q: LineQuiver, q2: LineQuiver, a: int, c: Complex,
     diffs: Dict[int, Dict] = {}
     for d in rng:
         phi = {}
+        # each differential read once per degree: an absent one is a new dict of zeros
+        cd, ca = c.diff(d), c.diff(d + 1 if plus else d - 1)
         for v in q.vertices:
             for r in _spec_elems(spectator):
                 key = vertex_key(v, r, spectator)
                 if v != a:
-                    phi[key] = c.diff(d)[key]
+                    phi[key] = cd[key]
                 else:
-                    phi[key] = _a_diff_block(c, q, a, nbrs, signs, d, r, spectator, plus)
+                    phi[key] = _a_diff_block(c, a, nbrs, signs, d, r, spectator, plus, cd, ca)
         diffs[d] = phi
     return Complex(shape2, field, terms, diffs, validate=False)
 
@@ -158,8 +160,10 @@ def _a_block_spec_map(c: Complex, q: LineQuiver, a: int, nbrs, d: int, rx, ry,
     return c.term(dd).mats[(vertex_key(v, rx, spectator), vertex_key(v, ry, spectator))]
 
 
-def _a_diff_block(c: Complex, q: LineQuiver, a: int, nbrs, signs, d: int, r,
-                  spectator, plus: bool) -> Matrix:
+def _a_diff_block(c: Complex, a: int, nbrs, signs, d: int, r, spectator, plus: bool,
+                  cd: Dict, ca: Dict) -> Matrix:
+    """The differential at the modified vertex a, from cd = c.diff(d) and ca,
+    the differential at a of degree d + 1 (plus) or d - 1 (minus)."""
     field = c.field
 
     def dims_at(dd, v):
@@ -172,23 +176,23 @@ def _a_diff_block(c: Complex, q: LineQuiver, a: int, nbrs, signs, d: int, r,
         grid = []
         for i, b in enumerate(nbrs):
             row = [None] * (len(nbrs) + 1)
-            row[i] = c.diff(d)[vertex_key(b, r, spectator)]
+            row[i] = cd[vertex_key(b, r, spectator)]
             grid.append(row)
         last = []
         for i, b in enumerate(nbrs):
             m = _arrow_map(c, d, b, a, spectator, r)
             last.append(m.scale(-signs[b]))
-        last.append(-c.diff(d + 1)[vertex_key(a, r, spectator)])
+        last.append(-ca[vertex_key(a, r, spectator)])
         grid.append(last)
         return Matrix.block(field, grid, rows, cols)
     # cone_d = X_a_{d-1} + (+)X_b_d; d(x, u) = (-d x, psi(x) + d u)
     rows = [dims_at(d - 2, a)] + [dims_at(d - 1, b) for b in nbrs]
     cols = [dims_at(d - 1, a)] + [dims_at(d, b) for b in nbrs]
-    grid = [[-c.diff(d - 1)[vertex_key(a, r, spectator)]] + [None] * len(nbrs)]
+    grid = [[-ca[vertex_key(a, r, spectator)]] + [None] * len(nbrs)]
     for i, b in enumerate(nbrs):
         m = _arrow_map(c, d - 1, a, b, spectator, r)
         row = [m.scale(signs[b])] + [None] * len(nbrs)
-        row[1 + i] = c.diff(d)[vertex_key(b, r, spectator)]
+        row[1 + i] = cd[vertex_key(b, r, spectator)]
         grid.append(row)
     return Matrix.block(field, grid, rows, cols)
 

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from meshrep import highertri
 from meshrep.derived import ChainMap, Complex, cone, normalize
 from meshrep.highertri import (NTriangle, base, canonical_phi, extend_morphism, fill_base,
-                               flip, flip_without_sign, homology_matrix, inverse_image,
-                               is_distinguished, standard_triangle, translate)
+                               find_triangle_morphism, flip, flip_without_sign,
+                               homology_matrix, inverse_image, is_distinguished,
+                               phi_is_canonical, standard_triangle, translate)
 from meshrep.linalg import GF, QQ, Matrix, inverse, is_invertible
 from meshrep.rep import Rep, interval_module, random_interval_sum
 from meshrep.shapes import LineQuiver, MeshWindow, default_window, mesh_map_f, mesh_map_f_inv
@@ -145,12 +147,15 @@ def corner_with_homology(field):
 
 def oracle_corpus(field):
     """Standard triangles and their restrictions, flips and inverse images,
-    and the two corrupted triangles, over one field."""
+    and the two corrupted triangles, over one field; the bases of seed 33
+    have homology in two degrees."""
     out = [corrupted_triangle(field), corner_with_homology(field)]
     for n in (2, 3):
         q = LineQuiver.linear(n)
-        for seed in (31, 32):
+        for seed in (31, 32, 33):
             x = rand_complex(q, seed + 10 * n, field=field).shift(seed % 2)
+            if seed == 33:
+                x = x.direct_sum(rand_complex(q, seed + 20 * n, field=field))
             t = standard_triangle(q, x, window=wide_window(n))
             out += [t, translate(t), flip(t), flip_without_sign(t)]
             if n == 3:
@@ -158,17 +163,97 @@ def oracle_corpus(field):
     return out
 
 
+def cone_route_phi_is_canonical(t):
+    """phi_is_canonical with every canonical phi taken from cone_route_phi."""
+    checked = 0
+    for v, stored in t.phi.items():
+        got = cone_route_phi(t, v)
+        if got is None:
+            continue
+        checked += 1
+        if got != stored:
+            return False, checked
+    return True, checked
+
+
 @pytest.mark.parametrize("field", [F, GF(5), QQ], ids=str)
-def test_canonical_phi_matches_cone_route(field):
+def test_canonical_phi_matches_cone_route(field, monkeypatch):
     """canonical_phi, read as a connecting map, equals H(kappa) H(lambda)^-1
-    through the cone at every interior vertex, None results included."""
+    through the cone at every interior vertex, None results included: alone,
+    and inside the sweeps of standard_triangle and phi_is_canonical, which
+    share path composites between vertices."""
+    swept = []
+    real = highertri.canonical_phi
+
+    def checked_phi(t, v, *args):
+        got = real(t, v, *args)
+        assert got == cone_route_phi(t, v), v
+        swept.append(got is None)
+        return got
+
+    monkeypatch.setattr(highertri, "canonical_phi", checked_phi)
+    corpus = oracle_corpus(field)
+    from_standard = len(swept)
+    for t in corpus:
+        assert phi_is_canonical(t) == cone_route_phi_is_canonical(t)
+    assert from_standard and len(swept) > from_standard and not all(swept)
+    monkeypatch.undo()
     seen = {"none": 0, "phi": 0}
-    for t in oracle_corpus(field):
+    for t in corpus:
         for v in t.interior():
             got = canonical_phi(t, v)
             assert got == cone_route_phi(t, v), v
             seen["none" if got is None else "phi"] += 1
     assert seen["none"] and seen["phi"]
+
+
+def test_phi_is_canonical_sees_new_values():
+    """A complex written into t.values after one check is seen by the next:
+    no composite outlives the call that made it.  The corner c1 of a middle
+    vertex gets the value at that vertex, so its rectangle is no longer
+    checked."""
+    q = LineQuiver.linear(2)
+    t = standard_triangle(q, rand_complex(q, 6), window=wide_window(2))
+    before = phi_is_canonical(t)
+    assert before == (True, len(t.phi))
+    inner = [v for v in t.interior() if t.phi.get(v)]
+    v = inner[len(inner) // 2]
+    c1 = (v[0], t.n + 1)
+    t.values[c1] = t.values[v]
+    for cov in list(t.arrows):
+        if c1 in cov:
+            t.arrows[cov] = ChainMap.zero(t.values[cov[0]], t.values[cov[1]])
+    after = phi_is_canonical(t)
+    assert after == cone_route_phi_is_canonical(t)
+    assert after[0] and after[1] < before[1]
+
+
+def rebuild_route_distinguished(t, seed=0):
+    """The reference for is_distinguished: the standard triangle rebuilt from
+    the base itself rather than from its minimal model."""
+    if not t.boundary_vanishes() or not t.phi_invertible():
+        return False
+    if not phi_is_canonical(t)[0]:
+        return False
+    std = standard_triangle(t.q, t.base_complex())
+    common = sorted(v for v in std.vertices & t.vertices if 0 < v[1] < t.n + 1)
+    if any(std.hdim(v) != t.hdim(v) for v in common):
+        return False
+    return find_triangle_morphism(std, t, require_iso=True, seed=seed) is not None
+
+
+@pytest.mark.parametrize("field", [F, GF(5), QQ], ids=str)
+def test_is_distinguished_matches_rebuild_route(field):
+    """The verdict from the minimal-model reference equals the verdict from a
+    full rebuild of the base, on triangles that reach the comparison with
+    both verdicts."""
+    seen = set()
+    for t in oracle_corpus(field):
+        got = is_distinguished(t)
+        assert got == rebuild_route_distinguished(t)
+        if t.boundary_vanishes() and t.phi_invertible() and phi_is_canonical(t)[0]:
+            seen.add(got)
+    assert seen == {True, False}
 
 
 def test_translate_flip_distinguished():
