@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """Time the AR and STC checks beyond the battery's sizes, one line per n.
 
-For each n (default 5..8) it times one `suite_stc(samples=1, ns=[n])` call
-and one build_ar + verify() + normalize round trip on a random interval sum
-over linear A_n.  Opt-in: not part of the tests or the benchmark.
+For n = 5..8 it times one `suite_stc(samples=1, ns=[n])` call and one
+build_ar + verify() + normalize round trip on a random interval sum over
+linear A_n, both at the battery's default seed.  Opt-in: not part of the
+tests or the benchmark.
 
-    PYTHONPATH=src python3 scripts/scale.py [--ns 5 6 7 8] [--seed N]
+    PYTHONPATH=src python3 scripts/scale.py
 """
 
-import argparse
 import sys
 import time
 from typing import Tuple
@@ -34,16 +34,12 @@ def ar_round_trip(n: int, seed: int) -> Tuple[int, bool]:
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--ns", type=int, nargs="+", default=[5, 6, 7, 8])
-    ap.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    args = ap.parse_args()
     failed = False
-    for n in args.ns:
+    for n in (5, 6, 7, 8):
         t0 = time.perf_counter()
-        rep = suite_stc(seed=args.seed, samples=1, ns=(n,))
+        rep = suite_stc(seed=DEFAULT_SEED, samples=1, ns=(n,))
         t1 = time.perf_counter()
-        dim, ok = ar_round_trip(n, args.seed)
+        dim, ok = ar_round_trip(n, DEFAULT_SEED)
         t2 = time.perf_counter()
         failed = failed or not (rep.passed and ok)
         print(f"n={n}  stc {t1 - t0:7.2f}s {'PASS' if rep.passed else 'FAIL'}"
