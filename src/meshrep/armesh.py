@@ -16,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from .derived import (ChainMap, Complex, DerivedObject, Square, cone,
-                      contractible_cone_over, contractible_path_onto, glue, homology_dims,
-                      is_bicartesian, linear_dual_complex, mapping_cylinder,
-                      mapping_path, normalize, split)
+from .derived import (ChainMap, Complex, DerivedObject, Square, block_map, cone, cone_inclusion,
+                      fiber_projection, glue, homology_dims, identity_at, is_bicartesian,
+                      linear_dual_complex, mapping_cylinder, mapping_path, negated, normalize,
+                      split)
 from .linalg import (FieldSpec, Matrix, column_space_basis, complement_columns,
                      complement_projection, kernel_basis, rank, solve)
 from .rep import Rep
@@ -60,29 +60,15 @@ def stiffen(q: LineQuiver, values: Dict[int, Complex],
 def _cyl_inclusion(f: ChainMap, cyl: Complex) -> ChainMap:
     """The canonical split mono Y -> Cyl(f) (section of the projection)."""
     x, y = f.src, f.tgt
-    fieldd = y.field
-    comps = {}
-    for d in cyl.degrees():
-        comps[d] = {}
-        for e in y.shape.elements:
-            xd, xdm1, yd = x.term(d).dims[e], x.term(d - 1).dims[e], y.term(d).dims[e]
-            comps[d][e] = Matrix.block(fieldd, [[None], [None], [Matrix.identity(fieldd, yd)]],
-                                       [xd, xdm1, yd], [yd])
-    return ChainMap(y, cyl, comps)
+    return block_map(y, [(y, 0)], cyl, [(x, 0), (x, 1), (y, 0)], cyl.degrees(),
+                     lambda d: [[None], [None], [identity_at(y.term(d))]])
 
 
 def _path_projection(g: ChainMap, p: Complex) -> ChainMap:
     """The canonical split epi P(g) -> X (retraction of the inclusion)."""
     x, y = g.src, g.tgt
-    fieldd = x.field
-    comps = {}
-    for d in p.degrees():
-        comps[d] = {}
-        for e in x.shape.elements:
-            xd, yd, ydp1 = x.term(d).dims[e], y.term(d).dims[e], y.term(d + 1).dims[e]
-            comps[d][e] = Matrix.block(fieldd, [[Matrix.identity(fieldd, xd), None, None]],
-                                       [xd], [xd, yd, ydp1])
-    return ChainMap(p, x, comps)
+    return block_map(p, [(x, 0), (y, 0), (y, -1)], x, [(x, 0)], p.degrees(),
+                     lambda d: [[identity_at(x.term(d)), None, None]])
 
 
 def _reattach(q: LineQuiver, arrows, w: int, old: Complex, new: Complex,
@@ -176,74 +162,46 @@ def kernel_complex(psi: ChainMap) -> Tuple[Complex, ChainMap]:
     return kc, incl
 
 
-def _pair_map(f: ChainMap, g: ChainMap, negate_second: bool) -> Tuple[Complex, ChainMap]:
-    """(T + B, the map L -> T + B given by (f, -g)) for f: L->T, g: L->B."""
-    tsum = f.tgt.direct_sum(g.tgt)
-    fieldd, sh = f.src.field, f.src.shape
-    comps = {}
-    for d in sorted(set(f.src.degrees()) | set(tsum.degrees())):
-        comps[d] = {}
-        for e in sh.elements:
-            a = f.comp(d)[e]
-            b = g.comp(d)[e]
-            if negate_second:
-                b = -b
-            comps[d][e] = Matrix.block(fieldd, [[a], [b]],
-                                       [f.tgt.term(d).dims[e], g.tgt.term(d).dims[e]],
-                                       [f.src.term(d).dims[e]])
-    return tsum, ChainMap(f.src, tsum, comps)
-
-
 def pushout(up: ChainMap, down: ChainMap) -> Tuple[Complex, ChainMap, ChainMap]:
     """Honest pushout of T <-up- L -down-> B along a degreewise mono `up`.
 
     Returns (P, T -> P, B -> P); the square commutes strictly and is a
-    homotopy pushout because `up` is a cofibration.
+    homotopy pushout because `up` is a cofibration.  The legs are the column
+    blocks of the quotient map T + B -> P.
     """
-    tsum, iota = _pair_map(up, down, negate_second=True)
+    src, t, b = up.src, up.tgt, down.tgt
+    tsum = t.direct_sum(b)
+    iota = block_map(src, [(src, 0)], tsum, [(t, 0), (b, 0)],
+                     sorted(set(src.degrees()) | set(tsum.degrees())),
+                     lambda d: [[up.comp(d)], [negated(down.comp(d))]])
     p, pi = quotient_complex(tsum, iota)
-    fieldd, sh = tsum.field, tsum.shape
-    t, b = up.tgt, down.tgt
-    mt = {}
-    mb = {}
+    mt, mb = {}, {}
     for d in sorted(set(p.degrees()) | set(tsum.degrees())):
-        mt[d], mb[d] = {}, {}
-        for e in sh.elements:
-            td, bd = t.term(d).dims[e], b.term(d).dims[e]
-            inct = Matrix.block(fieldd, [[Matrix.identity(fieldd, td)], [None]], [td, bd], [td])
-            incb = Matrix.block(fieldd, [[None], [Matrix.identity(fieldd, bd)]], [td, bd], [bd])
-            mt[d][e] = pi.comp(d)[e] @ inct
-            mb[d][e] = pi.comp(d)[e] @ incb
+        tdims, bdims, pid = t.term(d).dims, b.term(d).dims, pi.comp(d)
+        mt[d] = {e: m.submatrix(range(m.nrows), range(tdims[e])) for e, m in pid.items()}
+        mb[d] = {e: m.submatrix(range(m.nrows), range(tdims[e], tdims[e] + bdims[e]))
+                 for e, m in pid.items()}
     return p, ChainMap(t, p, mt), ChainMap(b, p, mb)
 
 
 def pullback(down: ChainMap, up: ChainMap) -> Tuple[Complex, ChainMap, ChainMap]:
     """Honest pullback of T -down-> R <-up- B along a degreewise epi `down`.
 
-    Returns (A, A -> T, A -> B); strictly commuting homotopy pullback.
+    Returns (A, A -> T, A -> B); strictly commuting homotopy pullback.  The
+    legs are the row blocks of the kernel inclusion A -> T + B.
     """
-    t, b = down.src, up.src
+    t, b, r = down.src, up.src, down.tgt
     tsum = t.direct_sum(b)
-    fieldd, sh = tsum.field, tsum.shape
-    r = down.tgt
-    comps = {}
-    for d in sorted(set(tsum.degrees()) | set(r.degrees())):
-        comps[d] = {}
-        for e in sh.elements:
-            comps[d][e] = Matrix.block(
-                fieldd, [[down.comp(d)[e], -up.comp(d)[e]]],
-                [r.term(d).dims[e]], [t.term(d).dims[e], b.term(d).dims[e]])
-    psi = ChainMap(tsum, r, comps)
+    psi = block_map(tsum, [(t, 0), (b, 0)], r, [(r, 0)],
+                    sorted(set(tsum.degrees()) | set(r.degrees())),
+                    lambda d: [[down.comp(d), negated(up.comp(d))]])
     a, incl = kernel_complex(psi)
     pt, pb = {}, {}
     for d in sorted(set(a.degrees()) | set(tsum.degrees())):
-        pt[d], pb[d] = {}, {}
-        for e in sh.elements:
-            td, bd = t.term(d).dims[e], b.term(d).dims[e]
-            projt = Matrix.block(fieldd, [[Matrix.identity(fieldd, td), None]], [td], [td, bd])
-            projb = Matrix.block(fieldd, [[None, Matrix.identity(fieldd, bd)]], [bd], [td, bd])
-            pt[d][e] = projt @ incl.comp(d)[e]
-            pb[d][e] = projb @ incl.comp(d)[e]
+        tdims, bdims, inc = t.term(d).dims, b.term(d).dims, incl.comp(d)
+        pt[d] = {e: m.submatrix(range(tdims[e]), range(m.ncols)) for e, m in inc.items()}
+        pb[d] = {e: m.submatrix(range(tdims[e], tdims[e] + bdims[e]), range(m.ncols))
+                 for e, m in inc.items()}
     return a, ChainMap(a, t, pt), ChainMap(a, b, pb)
 
 
@@ -375,12 +333,6 @@ class ARDiagram:
     def n(self) -> int:
         return self.window.n
 
-    def value(self, v: Vertex) -> Complex:
-        return self.values[v]
-
-    def arrow(self, cov: Tuple[Vertex, Vertex]) -> ChainMap:
-        return self.arrows[cov]
-
     # -- canonical forms ---------------------------------------------------
 
     def canonical(self, v: Vertex):
@@ -397,37 +349,10 @@ class ARDiagram:
                 out[d] = dict(h.dims)
         return out
 
-    def canonical_object(self, v: Vertex, spec_quiver: LineQuiver) -> DerivedObject:
-        """Canonical form of the value as an object over the spectator line
-        quiver (used for bimodule-valued diagrams)."""
-        return normalize(spec_quiver, self.values[v])
-
     def is_zero_at(self, v: Vertex) -> bool:
         return not self.canonical(v)
 
     # -- restriction ---------------------------------------------------------
-
-    def path_map(self, a: Vertex, b: Vertex) -> ChainMap:
-        """Composite chain map along any monotone window path a -> b; strict
-        commutativity makes the path choice irrelevant."""
-        if a == b:
-            return ChainMap.identity(self.values[a])
-        from .shapes import mesh_leq
-        cur = a
-        fmap = ChainMap.identity(self.values[a])
-        while cur != b:
-            k, l = cur
-            up = (k, l + 1)
-            down = (k + 1, l - 1)
-            if l + 1 <= self.n + 1 and mesh_leq(up, b) and up in self.window:
-                nxt = up
-            elif l - 1 >= 0 and mesh_leq(down, b) and down in self.window:
-                nxt = down
-            else:
-                raise ValueError(f"no monotone window path {a} -> {b}")
-            fmap = self.arrows[(cur, nxt)].compose(fmap)
-            cur = nxt
-        return fmap
 
     def restrict(self, q2: LineQuiver, embedding: Dict[int, Vertex]) -> Complex:
         """Restriction along a level-respecting embedding of q2."""
@@ -559,15 +484,15 @@ def build_ar(q: LineQuiver, c: Complex, window: Optional[MeshWindow] = None,
             arrows[(bottom, right)] = mb
         # contractible top corner for the next column's fills
         if (k, n) in values and k >= col_of(n):
-            cn, incl = contractible_cone_over(values[(k, n)])
-            values[(k, n + 1)] = cn
+            incl = cone_inclusion(ChainMap.identity(values[(k, n)]))
+            values[(k, n + 1)] = incl.tgt
             arrows[((k, n), (k, n + 1))] = incl
 
     # left of the zigzag: pullbacks, columns right to left
     for k in range(win.kmax, win.kmin - 1, -1):
         if k < col_of(n) and (k + 1, n) in values:
-            pc, ev = contractible_path_onto(values[(k + 1, n)])
-            values[(k, n + 1)] = pc
+            ev = fiber_projection(ChainMap.identity(values[(k + 1, n)]))
+            values[(k, n + 1)] = ev.src
             arrows[((k, n + 1), (k + 1, n))] = ev
         for l in range(n, 0, -1):
             if k >= col_of(l):

@@ -9,6 +9,7 @@ phi: X -> Y has differential [[-d_X, 0], [phi, d_Y]].
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .linalg import (FieldSpec, Matrix, column_space_basis, complement_columns, kernel_basis,
@@ -58,9 +59,6 @@ class Complex:
         src, tgt = self.term(d), self.term(d - 1)
         return {e: Matrix.zeros(self.field, tgt.dims[e], src.dims[e]) for e in self.shape.elements}
 
-    def value_dims(self, e: Element) -> Dict[int, int]:
-        return {d: self.term(d).dims[e] for d in self.degrees() if self.term(d).dims[e]}
-
     def is_zero_object(self) -> bool:
         return all(t.is_zero() for t in self.terms.values())
 
@@ -109,24 +107,11 @@ class Complex:
         return Complex(self.shape, self.field, terms, diffs, validate=False)
 
     def direct_sum(self, other: "Complex") -> "Complex":
-        terms = {}
-        diffs = {}
-        degs = sorted(set(self.degrees()) | set(other.degrees()))
-        for d in degs:
-            terms[d] = self.term(d).direct_sum(other.term(d))
-        for d in degs:
-            if d in self.diffs or d in other.diffs:
-                a, b = self.diff(d), other.diff(d)
-                sa, sb = self.term(d), other.term(d)
-                ta, tb = self.term(d - 1), other.term(d - 1)
-                diffs[d] = {e: Matrix.block(self.field, [[a[e], None], [None, b[e]]],
-                                            [ta.dims[e], tb.dims[e]], [sa.dims[e], sb.dims[e]])
-                            for e in self.shape.elements}
-        return Complex(self.shape, self.field, terms, diffs, validate=False)
-
-    def scale_map(self, c) -> "ChainMap":
-        return ChainMap(self, self, {d: {e: Matrix.identity(self.field, self.term(d).dims[e]).scale(c)
-                                         for e in self.shape.elements} for d in self.degrees()})
+        """Termwise sum; a differential is stored where a summand stores one."""
+        return block_complex([(self, 0), (other, 0)],
+                             sorted(set(self.degrees()) | set(other.degrees())),
+                             lambda d: [[self.diff(d), None], [None, other.diff(d)]]
+                             if d in self.diffs or d in other.diffs else None)
 
 
 @dataclass
@@ -176,52 +161,81 @@ class ChainMap:
         return ChainMap(earlier.src, self.tgt, comps)
 
 
+# ---------------------------------------------------------------------------
+# termwise direct sums of shifted complexes, and block maps between them
+
+
+Part = Tuple[Complex, int]  # (c, s): degree d holds c_{d-s}
+Grid = List[List[Optional[RepMap]]]  # one block per (row part, column part); None is zero
+
+
+def _part_dims(parts: List[Part], d: int) -> List[Dict[Element, int]]:
+    return [c.term(d - s).dims for c, s in parts]
+
+
+def _blocks(field: FieldSpec, elements, grid: Grid, rows: List[Dict], cols: List[Dict]) -> RepMap:
+    return {e: Matrix.block(field, [[b if b is None else b[e] for b in row] for row in grid],
+                            [r[e] for r in rows], [c[e] for c in cols])
+            for e in elements}
+
+
+def block_complex(parts: List[Part], degs: List[int],
+                  diff: Callable[[int], Optional[Grid]]) -> Complex:
+    """The termwise sum of the parts in the degrees degs.  diff(d) is the
+    differential out of degree d as a grid, rows the parts in degree d - 1
+    and columns the parts in degree d, or None to store no differential."""
+    shape, field = parts[0][0].shape, parts[0][0].field
+    terms = {d: reduce(Rep.direct_sum, [c.term(d - s) for c, s in parts]) for d in degs}
+    diffs = {}
+    for d in degs:
+        grid = diff(d)
+        if grid is not None:
+            diffs[d] = _blocks(field, shape.elements, grid, _part_dims(parts, d - 1),
+                               _part_dims(parts, d))
+    return Complex(shape, field, terms, diffs, validate=False)
+
+
+def block_map(src: Complex, src_parts: List[Part], tgt: Complex, tgt_parts: List[Part],
+              degs: List[int], grid: Callable[[int], Grid]) -> ChainMap:
+    """The chain map src -> tgt between sums of parts whose component in each
+    degree d of degs is the grid(d), rows tgt_parts and columns src_parts."""
+    return ChainMap(src, tgt, {d: _blocks(src.field, src.shape.elements, grid(d),
+                                          _part_dims(tgt_parts, d), _part_dims(src_parts, d))
+                               for d in degs})
+
+
+def identity_at(r: Rep) -> RepMap:
+    """The identity of r at every element."""
+    return {e: Matrix.identity(r.field, n) for e, n in r.dims.items()}
+
+
+def negated(m: RepMap) -> RepMap:
+    """-m at every element."""
+    return {e: -x for e, x in m.items()}
+
+
 def cone(phi: ChainMap) -> Complex:
     """Mapping cone with differential [[-d_X, 0], [phi, d_Y]]."""
     x, y = phi.src, phi.tgt
-    field, shape = x.field, x.shape
-    degs = sorted(set(d + 1 for d in x.degrees()) | set(y.degrees()))
-    terms = {}
-    for d in degs:
-        terms[d] = x.term(d - 1).direct_sum(y.term(d))
-    diffs = {}
-    for d in degs:
-        xd, yd = x.diff(d - 1), y.diff(d)
-        f = phi.comp(d - 1)
-        sx, sy = x.term(d - 1), y.term(d)
-        tx, ty = x.term(d - 2), y.term(d - 1)
-        diffs[d] = {e: Matrix.block(field,
-                                    [[-xd[e], None], [f[e], yd[e]]],
-                                    [tx.dims[e], ty.dims[e]], [sx.dims[e], sy.dims[e]])
-                    for e in shape.elements}
-    return Complex(shape, field, terms, diffs, validate=False)
+    return block_complex([(x, 1), (y, 0)],
+                         sorted(set(d + 1 for d in x.degrees()) | set(y.degrees())),
+                         lambda d: [[negated(x.diff(d - 1)), None], [phi.comp(d - 1), y.diff(d)]])
 
 
 def cone_inclusion(phi: ChainMap, c: Optional[Complex] = None) -> ChainMap:
     """The canonical chain map Y -> cone(phi)."""
     cn = c if c is not None else cone(phi)
     x, y = phi.src, phi.tgt
-    comps = {}
-    for d in cn.degrees():
-        sy = y.term(d)
-        comps[d] = {e: Matrix.block(y.field, [[None], [Matrix.identity(y.field, sy.dims[e])]],
-                                    [x.term(d - 1).dims[e], sy.dims[e]], [sy.dims[e]])
-                    for e in y.shape.elements}
-    return ChainMap(y, cn, comps)
+    return block_map(y, [(y, 0)], cn, [(x, 1), (y, 0)], cn.degrees(),
+                     lambda d: [[None], [identity_at(y.term(d))]])
 
 
 def cone_projection(phi: ChainMap, c: Optional[Complex] = None) -> ChainMap:
     """The canonical chain map cone(phi) -> Sigma X."""
     cn = c if c is not None else cone(phi)
     x, y = phi.src, phi.tgt
-    sx = x.shift(1)
-    comps = {}
-    for d in cn.degrees():
-        nx, ny = x.term(d - 1).dims, y.term(d).dims
-        comps[d] = {e: Matrix.block(x.field, [[Matrix.identity(x.field, nx[e]), None]],
-                                    [nx[e]], [nx[e], ny[e]])
-                    for e in x.shape.elements}
-    return ChainMap(cn, sx, comps)
+    return block_map(cn, [(x, 1), (y, 0)], x.shift(1), [(x, 1)], cn.degrees(),
+                     lambda d: [[identity_at(x.term(d - 1)), None]])
 
 
 def fiber(phi: ChainMap) -> Complex:
@@ -232,14 +246,8 @@ def fiber_projection(phi: ChainMap) -> ChainMap:
     """The canonical chain map fib(phi) -> X."""
     fib = fiber(phi)
     x = phi.src
-    comps = {}
-    for d in fib.degrees():
-        nx = x.term(d).dims
-        ny = phi.tgt.term(d + 1).dims
-        comps[d] = {e: Matrix.block(x.field, [[Matrix.identity(x.field, nx[e]), None]],
-                                    [nx[e]], [nx[e], ny[e]])
-                    for e in x.shape.elements}
-    return ChainMap(fib, x, comps)
+    return block_map(fib, [(x, 0), (phi.tgt, -1)], x, [(x, 0)], fib.degrees(),
+                     lambda d: [[identity_at(x.term(d)), None]])
 
 
 # ---------------------------------------------------------------------------
@@ -565,23 +573,11 @@ def is_bicartesian(sq: Square) -> bool:
     """True iff the total complex of x -> y (+) z -> w is acyclic."""
     sq.check_commutes()
     x, y, z, w = sq.x, sq.y, sq.z, sq.w
-    field, shape = x.field, x.shape
     # cone(f) -> cone(k) given by (g, h) twisted by the homotopy
     cf, ck = cone(sq.f), cone(sq.k)
-    comps = {}
-    degs = sorted(set(cf.degrees()) | set(ck.degrees()))
-    for d in degs:
-        comps[d] = {}
-        for e in shape.elements:
-            gx = sq.g.comp(d - 1)[e]
-            hy = sq.h.comp(d)[e]
-            ht = sq._hot(d - 1)[e]
-            comps[d][e] = Matrix.block(
-                field,
-                [[gx, None], [ht, hy]],
-                [z.term(d - 1).dims[e], w.term(d).dims[e]],
-                [x.term(d - 1).dims[e], y.term(d).dims[e]])
-    mu = ChainMap(cf, ck, comps)
+    mu = block_map(cf, [(x, 1), (y, 0)], ck, [(z, 1), (w, 0)],
+                   sorted(set(cf.degrees()) | set(ck.degrees())),
+                   lambda d: [[sq.g.comp(d - 1), None], [sq._hot(d - 1), sq.h.comp(d)]])
     total = cone(mu)
     return is_acyclic(total)
 
@@ -596,85 +592,32 @@ def mapping_cylinder(phi: ChainMap) -> Tuple[Complex, ChainMap, ChainMap]:
     Cyl_d = X_d + X_{d-1} + Y_d, d(a, h, y) = (da - h, -dh, dy + phi h).
     """
     x, y = phi.src, phi.tgt
-    field, shape = x.field, x.shape
+    parts = [(x, 0), (x, 1), (y, 0)]
     degs = sorted(set(x.degrees()) | set(d + 1 for d in x.degrees()) | set(y.degrees()))
-    terms = {d: x.term(d).direct_sum(x.term(d - 1)).direct_sum(y.term(d)) for d in degs}
-    diffs = {}
-    for d in degs:
-        rows = {}
-        for e in shape.elements:
-            xd, xdm1 = x.term(d).dims[e], x.term(d - 1).dims[e]
-            yd = y.term(d).dims[e]
-            txd, txdm1, tyd = x.term(d - 1).dims[e], x.term(d - 2).dims[e], y.term(d - 1).dims[e]
-            dX, dXm1 = x.diff(d)[e], x.diff(d - 1)[e]
-            dY = y.diff(d)[e]
-            f = phi.comp(d - 1)[e]
-            rows[e] = Matrix.block(field, [
-                [dX, -Matrix.identity(field, txd), None],
-                [None, -dXm1, None],
-                [None, f, dY],
-            ], [txd, txdm1, tyd], [xd, xdm1, yd])
-        diffs[d] = rows
-    cyl = Complex(shape, field, terms, diffs, validate=False)
-    j = ChainMap(x, cyl, {d: {e: Matrix.block(field, [[Matrix.identity(field, x.term(d).dims[e])], [None], [None]],
-                                              [x.term(d).dims[e], x.term(d - 1).dims[e], y.term(d).dims[e]],
-                                              [x.term(d).dims[e]]) for e in shape.elements}
-                          for d in degs})
-    pr = ChainMap(cyl, y, {d: {e: Matrix.block(field, [[phi.comp(d)[e], None, Matrix.identity(field, y.term(d).dims[e])]],
-                                               [y.term(d).dims[e]],
-                                               [x.term(d).dims[e], x.term(d - 1).dims[e], y.term(d).dims[e]])
-                               for e in shape.elements} for d in degs})
+    cyl = block_complex(parts, degs, lambda d: [
+        [x.diff(d), negated(identity_at(x.term(d - 1))), None],
+        [None, negated(x.diff(d - 1)), None],
+        [None, phi.comp(d - 1), y.diff(d)]])
+    j = block_map(x, [(x, 0)], cyl, parts, degs,
+                  lambda d: [[identity_at(x.term(d))], [None], [None]])
+    pr = block_map(cyl, parts, y, [(y, 0)], degs,
+                   lambda d: [[phi.comp(d), None, identity_at(y.term(d))]])
     return cyl, j, pr
 
 
 def mapping_path(phi: ChainMap) -> Tuple[Complex, ChainMap, ChainMap]:
     """(P, inc: X -> P quasi-iso, ev: P -> Y split epi) with ev . inc = phi.
 
-    P = X + cone(id_Y)[-1]; ev(a, y, h) = phi a + y.
+    P = X + fib(id_Y), P_d = X_d + Y_d + Y_{d+1}; ev(a, y, h) = phi a + y.
     """
     x, y = phi.src, phi.tgt
-    field, shape = x.field, x.shape
-    contr = cone(ChainMap.identity(y)).shift(-1)  # degrees d: Y_d + Y_{d+1}
-    p = x.direct_sum(contr)
-    degs = p.degrees()
-    inc = ChainMap(x, p, {d: {e: Matrix.block(field, [[Matrix.identity(field, x.term(d).dims[e])], [None]],
-                                              [x.term(d).dims[e], contr.term(d).dims[e]],
-                                              [x.term(d).dims[e]]) for e in shape.elements}
-                          for d in degs})
-    ev_comps = {}
-    for d in degs:
-        ev_comps[d] = {}
-        for e in shape.elements:
-            yd, ydp1 = y.term(d).dims[e], y.term(d + 1).dims[e]
-            ev_comps[d][e] = Matrix.block(field,
-                                          [[phi.comp(d)[e], Matrix.identity(field, yd), None]],
-                                          [yd], [x.term(d).dims[e], yd, ydp1])
-    ev = ChainMap(p, y, ev_comps)
+    p = x.direct_sum(fiber(ChainMap.identity(y)))
+    parts = [(x, 0), (y, 0), (y, -1)]
+    inc = block_map(x, [(x, 0)], p, parts, p.degrees(),
+                    lambda d: [[identity_at(x.term(d))], [None], [None]])
+    ev = block_map(p, parts, y, [(y, 0)], p.degrees(),
+                   lambda d: [[phi.comp(d), identity_at(y.term(d)), None]])
     return p, inc, ev
-
-
-def contractible_cone_over(v: Complex) -> Tuple[Complex, ChainMap]:
-    """(C, j: V -> C) with C = cone(id_V) contractible and j split mono."""
-    c = cone(ChainMap.identity(v))
-    field, shape = v.field, v.shape
-    comps = {}
-    for d in c.degrees():
-        vd, vdm1 = v.term(d).dims, v.term(d - 1).dims
-        comps[d] = {e: Matrix.block(field, [[None], [Matrix.identity(field, vd[e])]],
-                                    [vdm1[e], vd[e]], [vd[e]]) for e in shape.elements}
-    return c, ChainMap(v, c, comps)
-
-
-def contractible_path_onto(v: Complex) -> Tuple[Complex, ChainMap]:
-    """(P, q: P -> V) with P = cone(id_V)[-1] contractible and q split epi."""
-    p = cone(ChainMap.identity(v)).shift(-1)  # P_d = V_d + V_{d+1}
-    field, shape = v.field, v.shape
-    comps = {}
-    for d in p.degrees():
-        vd, vdp1 = v.term(d).dims, v.term(d + 1).dims
-        comps[d] = {e: Matrix.block(field, [[Matrix.identity(field, vd[e]), None]],
-                                    [vd[e]], [vd[e], vdp1[e]]) for e in shape.elements}
-    return p, ChainMap(p, v, comps)
 
 
 def linear_dual_complex(c: Complex, target_shape: Optional[Poset] = None) -> Complex:

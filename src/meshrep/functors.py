@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .derived import ChainMap, Complex, DerivedObject, minimize, normalize, vertex_key
 from .linalg import FieldSpec, Matrix
-from .rep import Rep
+from .rep import Interval, Rep, all_intervals, interval_module
 from .shapes import (LineQuiver, Poset, admissible_sequence, admissible_source_sequence,
                      embed_iQ, reflection_path)
 
@@ -340,3 +340,27 @@ def serre_on_object(q: LineQuiver, obj: DerivedObject, field: FieldSpec,
                     power: int = 1) -> DerivedObject:
     from .derived import object_complex
     return normalize(q, serre_power(q, object_complex(q, obj, field), power))
+
+
+class SerreTable:
+    """S as a permutation with shifts of the indecomposables of D^b(kQ):
+    images[itv] = (delta, itv2) when S M[itv] = Sigma^delta M[itv2]."""
+
+    def __init__(self, q: LineQuiver, field: FieldSpec):
+        self.images: Dict[Interval, Tuple[int, Interval]] = {}
+        for itv in all_intervals(q.n):
+            img = normalize(q, serre(q, Complex.from_rep(interval_module(q, itv.i, itv.j, field))))
+            if not img.indecomposable():
+                raise RuntimeError(f"Serre image of {itv} is not indecomposable: {img}")
+            delta, itv2, _ = img.summands[0]
+            self.images[itv] = (delta, itv2)
+        self.preimages = {itv2: (-delta, itv) for itv, (delta, itv2) in self.images.items()}
+
+    def power(self, itv: Interval, j: int) -> Tuple[int, Interval]:
+        """(delta, itv2) with S^j M[itv] = Sigma^delta M[itv2], for any integer j."""
+        table = self.images if j >= 0 else self.preimages
+        delta, cur = 0, itv
+        for _ in range(abs(j)):
+            d, cur = table[cur]
+            delta += d
+        return delta, cur

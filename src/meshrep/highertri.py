@@ -66,13 +66,6 @@ class NTriangle:
     def boundary_vanishes(self) -> bool:
         return all(not self.hdim(v) for v in self.vertices if v[1] in (0, self.n + 1))
 
-    def covers(self):
-        for (k, l) in self.vertices:
-            if (k, l + 1) in self.vertices and l + 1 <= self.n + 1:
-                yield ((k, l), (k, l + 1))
-            if (k + 1, l - 1) in self.vertices and l - 1 >= 0:
-                yield ((k, l), (k + 1, l - 1))
-
     def arrow_h(self, cov) -> Dict[int, Matrix]:
         phi = self.arrows[cov]
         degs = sorted(set(phi.src.degrees()) | set(phi.tgt.degrees()))
@@ -271,29 +264,26 @@ def _covers_of(verts: Set[Vertex], n: int):
             yield ((k, l), (k + 1, l - 1))
 
 
-def translate(t: NTriangle) -> NTriangle:
-    vmap = lambda v: mesh_map_t(t.n, v)
+def _transported(t: NTriangle, vmap: Callable[[Vertex], Vertex], sign: int) -> NTriangle:
+    """t pulled back along the mesh map vmap, with phi carried along and
+    multiplied by sign."""
     verts, values, arrows = _relocate(t, vmap)
-    phi = {v: dict(t.phi[vmap(v)]) for v in verts
+    phi = {v: {d: m if sign == 1 else -m for d, m in t.phi[vmap(v)].items()} for v in verts
            if mesh_map_f(t.n, v) in verts and vmap(v) in t.phi}
     return NTriangle(t.n, t.q, t.fieldspec, verts, values, arrows, phi)
+
+
+def translate(t: NTriangle) -> NTriangle:
+    return _transported(t, lambda v: mesh_map_t(t.n, v), 1)
 
 
 def flip(t: NTriangle) -> NTriangle:
-    vmap = lambda v: mesh_map_f(t.n, v)
-    verts, values, arrows = _relocate(t, vmap)
-    phi = {v: {d: -m for d, m in t.phi[vmap(v)].items()} for v in verts
-           if mesh_map_f(t.n, v) in verts and vmap(v) in t.phi}
-    return NTriangle(t.n, t.q, t.fieldspec, verts, values, arrows, phi)
+    return _transported(t, lambda v: mesh_map_f(t.n, v), -1)
 
 
 def flip_without_sign(t: NTriangle) -> NTriangle:
     """The negative control: the flip with the negation omitted."""
-    vmap = lambda v: mesh_map_f(t.n, v)
-    verts, values, arrows = _relocate(t, vmap)
-    phi = {v: dict(t.phi[vmap(v)]) for v in verts
-           if mesh_map_f(t.n, v) in verts and vmap(v) in t.phi}
-    return NTriangle(t.n, t.q, t.fieldspec, verts, values, arrows, phi)
+    return _transported(t, lambda v: mesh_map_f(t.n, v), 1)
 
 
 def inverse_image(m: int, alpha: Dict[int, int], t: NTriangle) -> NTriangle:
@@ -464,7 +454,7 @@ def triangle_to_dot(t: NTriangle, suppress_boundary: bool = True) -> str:
         label = "+".join(f"k^{m}[{d}]" for d, m in sorted(h.items())) or "0"
         mark = " *" if v in t.phi else ""
         lines.append(f'  {vid(v)} [label="{label}{mark}"];')
-    for (a, b) in sorted(set(t.covers())):
+    for (a, b) in sorted(_covers_of(t.vertices, t.n)):
         if suppress_boundary and (a[1] in (0, t.n + 1) or b[1] in (0, t.n + 1)):
             continue
         lines.append(f"  {vid(a)} -> {vid(b)};")
@@ -473,12 +463,12 @@ def triangle_to_dot(t: NTriangle, suppress_boundary: bool = True) -> str:
 
 
 def triangle_to_json(t: NTriangle) -> dict:
-    from .serialize import SCHEMA, complex_to_json, matrix_to_json
+    from .serialize import SCHEMA, complex_to_json, field_to_json, matrix_to_json
     return {
         "schema": SCHEMA,
         "type": "ntriangle",
         "n": t.n,
-        "field": {"kind": "Q"} if t.fieldspec.is_rational else {"kind": "Fp", "p": t.fieldspec.p},
+        "field": field_to_json(t.fieldspec),
         "vertices": sorted(list(v) for v in t.vertices),
         "values": [[list(v), complex_to_json(t.values[v])] for v in sorted(t.vertices)],
         "arrows": [[list(a), list(b),

@@ -7,9 +7,10 @@ identifications.
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Dict, List, Optional, Tuple
 
-from .derived import ChainMap, Complex, DerivedObject, object_complex
+from .derived import ChainMap, Complex, DerivedObject, block_map, object_complex
 from .linalg import (FieldSpec, Matrix, complement_columns, kernel_basis, split_vector,
                      sylvester_system)
 from .rep import Rep, interval_module
@@ -236,16 +237,7 @@ def tuple_into_sum(maps: List[ChainMap]) -> ChainMap:
     if not maps:
         raise ValueError("need at least one map")
     src = maps[0].src
-    field, shape = src.field, src.shape
-    tgt = maps[0].tgt
-    for m in maps[1:]:
-        tgt = tgt.direct_sum(m.tgt)
-    comps: Dict[int, Dict] = {}
-    degs = sorted(set(src.degrees()) | set(tgt.degrees()))
-    for d in degs:
-        comps[d] = {}
-        for e in shape.elements:
-            blocks = [[m.comp(d)[e]] for m in maps]
-            rdims = [m.tgt.term(d).dims[e] for m in maps]
-            comps[d][e] = Matrix.block(field, blocks, rdims, [src.term(d).dims[e]])
-    return ChainMap(src, tgt, comps)
+    tgt = reduce(Complex.direct_sum, [m.tgt for m in maps])
+    return block_map(src, [(src, 0)], tgt, [(m.tgt, 0) for m in maps],
+                     sorted(set(src.degrees()) | set(tgt.degrees())),
+                     lambda d: [[m.comp(d)] for m in maps])

@@ -54,9 +54,6 @@ class Rep:
     def total_dim(self) -> int:
         return sum(self.dims.values())
 
-    def map_on(self, cov: Cover) -> Matrix:
-        return self.mats[cov]
-
     def path_map(self, a: Element, b: Element) -> Matrix:
         """The composite along any monotone path a -> b (well-defined)."""
         if not self.shape.leq(a, b):

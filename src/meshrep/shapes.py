@@ -75,12 +75,6 @@ class Poset:
     def leq(self, a: Element, b: Element) -> bool:
         return b in self._up_sets()[a]
 
-    def up_set(self, a: Element) -> FrozenSet[Element]:
-        return self._up_sets()[a]
-
-    def down_set(self, a: Element) -> FrozenSet[Element]:
-        return frozenset(e for e in self.elements if self.leq(e, a))
-
     def linear_extension(self) -> List[Element]:
         succ: Dict[Element, List[Element]] = {e: [] for e in self.elements}
         for a, b in self.covers:
@@ -95,18 +89,6 @@ class Poset:
         covers = [((a, b), (a2, b)) for (a, a2) in self.covers for b in other.elements]
         covers += [((a, b), (a, b2)) for a in self.elements for (b, b2) in other.covers]
         return Poset(elems, covers, name=name or f"{self.name}x{other.name}")
-
-    def full_subposet(self, elements: Iterable[Element], name: Optional[str] = None) -> "Poset":
-        """Subposet on the given elements; covers recomputed from the induced order."""
-        els = [e for e in self.elements if e in set(elements)]
-        s = set(els)
-        covers = []
-        for a in els:
-            for b in els:
-                if a != b and self.leq(a, b):
-                    if not any(c not in (a, b) and self.leq(a, c) and self.leq(c, b) for c in s):
-                        covers.append((a, b))
-        return Poset(els, covers, name=name or f"{self.name}|sub")
 
     def __contains__(self, e):
         return e in self._index
@@ -531,10 +513,6 @@ class TwistedArrowCategory:
 
     def target(self, ob: Tuple[Element, Element]) -> Element:
         return ob[1]
-
-    def ts_image(self) -> List[Tuple[Element, Element]]:
-        """Image of (t, s) in P x P^op: the pairs (b, a) with a <= b."""
-        return [(b, a) for (a, b) in self.objects]
 
 
 def twisted_arrow(p: Poset) -> TwistedArrowCategory:

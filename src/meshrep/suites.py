@@ -18,8 +18,8 @@ from .bimod import (Bimodule, bar_tensor_oracle, bimodules_quasi_isomorphic,
                     identity_prof, to_left_complex)
 from .derived import Complex, DerivedObject, derived_hom_dim, normalize
 from .linalg import GF, QQ, FieldSpec
-from .rep import Interval, all_intervals, decompose, interval_module, random_interval_sum
-from .functors import coxeter_plus, reflect_minus, reflect_plus, serre, transport
+from .rep import all_intervals, decompose, interval_module, random_interval_sum
+from .functors import SerreTable, coxeter_plus, reflect_minus, reflect_plus, serre, transport
 from .shapes import LineQuiver, MeshWindow, all_orientations, embed_iQ, is_admissible_sequence
 from .tilting import (apr_tilt, apply_bimodule, iter_tilt, picard_check, serre_bimodule,
                       square_d4_bimodule, square_d4_inverse, square_d4_pattern_matches,
@@ -51,32 +51,6 @@ class Report:
         extra = f"  [first counterexample: {self.counterexample}]" if (
             self.counterexample and not self.passed) else ""
         return f"[{status}] {self.name}: {self.detail}{extra}"
-
-
-def _serre_table(q: LineQuiver, field: FieldSpec) -> Dict[Interval, Tuple[int, Interval]]:
-    """S as a permutation-with-shift on intervals."""
-    out = {}
-    for itv in all_intervals(q.n):
-        img = normalize(q, serre(q, Complex.from_rep(interval_module(q, itv.i, itv.j, field))))
-        (delta, itv2, mult) = img.summands[0]
-        if not img.indecomposable():
-            raise RuntimeError("Serre image not indecomposable")
-        out[itv] = (delta, itv2)
-    return out
-
-
-def _serre_power_on(table, itv: Interval, j: int, inv_table=None):
-    delta, cur = 0, itv
-    if j >= 0:
-        for _ in range(j):
-            d, cur = table[cur]
-            delta += d
-    else:
-        inv = inv_table
-        for _ in range(-j):
-            d, cur = inv[cur]
-            delta += d
-    return delta, cur
 
 
 # -- criterion 1 -------------------------------------------------------------
@@ -199,19 +173,16 @@ def suite_frac_cy(seed: int = DEFAULT_SEED, nmax: int = 6) -> Report:
     field = GF()
     for n in range(2, nmax + 1):
         for q in all_orientations(n):
-            table = _serre_table(q, field)
-            inv = {v2: (-d, k) for k, (d, v2) in table.items()}
+            table = SerreTable(q, field)
             for itv in all_intervals(n):
-                delta, cur = _serre_power_on(table, itv, n + 1, inv)
+                delta, cur = table.power(itv, n + 1)
                 if cur != itv or delta != n - 1:
                     return Report("frac-cy", False, "S^(n+1) != Sigma^(n-1)",
                                   f"{q} {itv} -> S^{n + 1} = Sigma^{delta}{cur}")
         if n == 3:
             q = LineQuiver.linear(3)
-            table = _serre_table(q, field)
-            inv = {v2: (-d, k) for k, (d, v2) in table.items()}
-            witness = [itv for itv in all_intervals(3)
-                       if _serre_power_on(table, itv, 2, inv) != (1, itv)]
+            table = SerreTable(q, field)
+            witness = [itv for itv in all_intervals(3) if table.power(itv, 2) != (1, itv)]
             if not witness:
                 return Report("frac-cy", False, "S^2 = Sigma at n=3 (should not hold)")
     return Report("frac-cy", True,
@@ -227,10 +198,10 @@ def suite_serre_duality(seed: int = DEFAULT_SEED, nmax: int = 5) -> Report:
     pairs = 0
     for n in range(1, nmax + 1):
         for q in all_orientations(n):
-            table = _serre_table(q, field)
+            table = SerreTable(q, field)
             objs = [(s, itv) for itv in all_intervals(n) for s in (-1, 0, 1)]
             for (sx, ix) in objs:
-                dsx, sx_img = table[ix]
+                dsx, sx_img = table.images[ix]
                 sxobj = DerivedObject.from_dict({(sx + dsx, sx_img): 1})
                 xobj = DerivedObject.from_dict({(sx, ix): 1})
                 for (sy, iy) in objs:

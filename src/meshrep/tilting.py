@@ -14,12 +14,12 @@ from typing import Callable, Dict, Optional, Tuple
 from .armesh import ARDiagram, build_ar, mesh_object
 from .bimod import (Bimodule, bimodules_quasi_isomorphic, cancel_tensor, duality_module,
                     from_left_complex, identity_prof, to_left_complex)
-from .derived import (ChainMap, Complex, DerivedObject, cone, derived_hom_graded, glue,
-                      is_acyclic, normalize, restrict, restrict_map, split)
+from .derived import (ChainMap, Complex, cone, derived_hom_graded, glue, is_acyclic, normalize,
+                      restrict, restrict_map, split)
 from .linalg import FieldSpec, Matrix
 from .rep import all_intervals, simple
-from .functors import (coxeter_minus, coxeter_plus, reflect_minus_obj, reflect_plus_obj,
-                       serre_on_object)
+from .functors import (SerreTable, coxeter_minus, coxeter_plus, reflect_minus_obj,
+                       reflect_plus_obj)
 from .shapes import LineQuiver, MeshWindow, Poset, embed_iQ, mesh_map_s, reflection_path
 
 
@@ -245,28 +245,10 @@ def _minimality_grid(q: LineQuiver, n: int, field: FieldSpec) -> bool:
     is an integral multiple of (n-1, n+1), checked for |i|, |j| <= n+1."""
     if n == 1:
         return True  # S = id: the relation degenerates (paper treats n >= 2)
-    # S permutes shifted intervals: tabulate S(M[itv]) = Sigma^delta M[itv']
-    smap: Dict = {}
-    for itv in all_intervals(n):
-        img = serre_on_object(q, DerivedObject.from_dict({(0, itv): 1}), field)
-        (delta, itv2, mult) = img.summands[0]
-        assert img.indecomposable()
-        smap[itv] = (delta, itv2)
-    sinv = {}
-    for itv, (delta, itv2) in smap.items():
-        sinv[itv2] = (-delta, itv)
-
-    def s_power(itv, j):
-        delta_total, cur = 0, itv
-        table = smap if j >= 0 else sinv
-        for _ in range(abs(j)):
-            d, cur = table[cur]
-            delta_total += d
-        return delta_total, cur
-
+    table = SerreTable(q, field)
     for i in range(-(n + 1), n + 2):
         for j in range(-(n + 1), n + 2):
-            fixes = all(s_power(itv, j) == (-i, itv) for itv in all_intervals(n))
+            fixes = all(table.power(itv, j) == (-i, itv) for itv in all_intervals(n))
             if fixes != _is_multiple(i, j, n):
                 return False
     return True

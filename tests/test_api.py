@@ -1,9 +1,10 @@
 """Checks on the package source as a whole.
 
-Every top-level function and class of the package is used somewhere.  A name
-counts as used when it appears in src/, tests/, scripts/ or README.md outside
-its own definition.  Functions registered as click commands are reached
-through the CLI and are exempt.
+Every top-level function and class of the package, and every method of such
+a class, is used somewhere.  A name counts as used when it appears in src/,
+tests/, scripts/ or README.md outside its own definition.  Functions
+registered as click commands are reached through the CLI, and dunder methods
+through Python itself; both are exempt.
 
 No code writes into a Rep, Complex or ChainMap after its constructor, and
 only homology_basis fills the homology bases kept on a Complex.
@@ -26,21 +27,32 @@ def _is_click_command(node) -> bool:
     return any(re.search(r"\.(command|group)\b", ast.unparse(d)) for d in node.decorator_list)
 
 
+def _definitions(tree):
+    """(name, node) for each top-level function and class that is not a click
+    command, and (Class.method, node) for each method of a top-level class
+    that is not a dunder method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not _is_click_command(node):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for meth in node.body:
+                if isinstance(meth, ast.FunctionDef) and not re.fullmatch(r"__\w+__", meth.name):
+                    yield f"{node.name}.{meth.name}", meth
+
+
 def test_no_unused_top_level_names():
     corpus = _corpus()
     unused = []
     for mod in sorted(PACKAGE.glob("*.py")):
         text = corpus[mod]
         lines = text.splitlines()
-        for node in ast.parse(text).body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or _is_click_command(node):
-                continue
+        for name, node in _definitions(ast.parse(text)):
             word = re.compile(rf"\b{re.escape(node.name)}\b")
             start = min([node.lineno] + [d.lineno for d in node.decorator_list])
             own = "\n".join(lines[start - 1:node.end_lineno])
             uses = sum(len(word.findall(t)) for t in corpus.values()) - len(word.findall(own))
             if uses == 0:
-                unused.append(f"{mod.name}:{node.name}")
+                unused.append(f"{mod.name}:{name}")
     assert unused == []
 
 

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,11 +11,14 @@ from meshrep.derived import (
     homology_rep, is_acyclic, is_bicartesian, linear_dual_complex,
     mapping_cylinder, mapping_path, minimize, normalize, object_complex, restrict, split,
 )
+from meshrep.armesh import build_ar, merge_window_complex, pullback, pushout
 from meshrep.bimod import identity_prof
 from meshrep.functors import reflect_plus_obj
+from meshrep.hom_chain import tuple_into_sum
 from meshrep.linalg import (GF, QQ, Matrix, column_space_basis, complement_columns, kernel_basis,
                             rank, solve)
 from meshrep.rep import Interval, Rep, hom_space, interval_module, random_interval_sum, random_rep
+from meshrep.serialize import complex_to_json, matrix_to_json
 from meshrep.shapes import LineQuiver, all_orientations, point_poset
 
 F = GF(32003)
@@ -351,3 +357,71 @@ def test_shared_zeros_stay_zero(field):
         assert (m.nrows, m.ncols) == (r, k) and m.is_zero()
     for (f, n), m in linalg._IDENTITIES.items():
         assert m.rows() == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _block_inputs(field):
+    """Fixed chain maps phi: X -> Y with nonzero differentials, over the point
+    and over A_2: a map of two-term complexes of vector spaces, and the
+    quasi-isomorphism (M[2,2] -> M[1,2]) -> M[1,1]."""
+    pt = point_poset()
+
+    def m(rows):
+        return Matrix.from_rows(field, rows)
+
+    x = Complex(pt, field, {0: Rep(pt, field, {(): 3}, {}), 1: Rep(pt, field, {(): 2}, {})},
+                {1: {(): m([[1, 0], [0, 1], [0, 0]])}})
+    y = Complex(pt, field, {0: Rep(pt, field, {(): 2}, {}), 1: Rep(pt, field, {(): 1}, {})},
+                {1: {(): m([[1], [1]])}})
+    point = ChainMap(x, y, {0: {(): m([[1, 2, 3], [1, 2, 4]])}, 1: {(): m([[1, 2]])}})
+    q = LineQuiver.linear(2)
+    m22, m12, m11 = (interval_module(q, i, j, field) for i, j in ((2, 2), (1, 2), (1, 1)))
+    xa = Complex(q.poset(), field, {0: m12, 1: m22},
+                 {1: {1: Matrix.zeros(field, 1, 0), 2: Matrix.identity(field, 1)}})
+    ya = Complex.from_rep(m11)
+    line = ChainMap(xa, ya, {0: {1: Matrix.identity(field, 1), 2: Matrix.zeros(field, 0, 1)}})
+    return point, line
+
+
+def _block_outputs(field) -> str:
+    """JSON of every block construction on the fixed inputs: complexes with
+    the degrees of their stored differentials, chain maps in every degree of
+    their source or target."""
+    def cx(c):
+        return [complex_to_json(c), sorted(c.diffs)]
+
+    def cm(f):
+        degs = sorted(set(f.src.degrees()) | set(f.tgt.degrees()))
+        return [cx(f.src), cx(f.tgt),
+                [[d, [matrix_to_json(f.comp(d)[e]) for e in f.src.shape.elements]] for d in degs]]
+
+    out = []
+    for phi in _block_inputs(field):
+        x, y = phi.src, phi.tgt
+        cyl, j, pr = mapping_cylinder(phi)
+        path, inc, ev = mapping_path(phi)
+        p, mt, mb = pushout(j, phi)
+        a, pt, pb = pullback(ev, phi)
+        out += [cx(cone(phi)), cm(cone_inclusion(phi)), cm(cone_projection(phi)),
+                cm(fiber_projection(phi)), cx(cyl), cm(j), cm(pr), cx(path), cm(inc), cm(ev),
+                cx(x.direct_sum(y)), cx(p), cm(mt), cm(mb), cx(a), cm(pt), cm(pb),
+                cm(tuple_into_sum([phi, ChainMap.identity(x)]))]
+    q = LineQuiver.linear(3)
+    c = Complex.from_rep(interval_module(q, 1, 3, field).direct_sum(interval_module(q, 2, 2, field)))
+    out.append(cx(merge_window_complex(build_ar(q, c.shift(1)))))
+    return json.dumps(out, sort_keys=True)
+
+
+# recorded from the per-construction block loops that predate block_complex and block_map
+BLOCK_GOLDEN = {
+    "F5": "b05dbc4a552d67b8bd3d4fabff516480ed892955c2403b9bb7fac49cbab928a5",
+    "F32003": "0ffec0cf189e9ccd72f77a131a3cfd509f52636f0715bba042f9a0f87a2ae625",
+    "Q": "db2b9438549af4f1246e6f5a410528610a8bed77edb406b466f6248fa0de0756",
+}
+
+
+@pytest.mark.parametrize("field", [GF(5), GF(32003), QQ], ids=["F5", "F32003", "Q"])
+def test_block_constructions_are_pinned(field):
+    """The exact bytes of the cones, fibers, cylinders, path objects, direct
+    sums, pushouts, pullbacks and tuple maps, and of one AR diagram."""
+    got = hashlib.sha256(_block_outputs(field).encode()).hexdigest()
+    assert got == BLOCK_GOLDEN[str(field)]

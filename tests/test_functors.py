@@ -6,7 +6,8 @@ from meshrep.derived import (ChainMap, Complex, DerivedObject, cone, normalize,
 from meshrep.linalg import GF, Matrix
 from meshrep.rep import (Interval, all_intervals, hom_space, interval_module,
                          injective_interval, projective_interval, random_interval_sum)
-from meshrep.functors import (coxeter_minus, coxeter_plus, reflect_map,
+from meshrep import functors
+from meshrep.functors import (SerreTable, coxeter_minus, coxeter_plus, reflect_map,
                               reflect_minus, reflect_plus, reflect_plus_obj,
                               serre, serre_inverse, serre_on_object, serre_power,
                               transport, untransport)
@@ -197,3 +198,28 @@ def test_serre_duality_hom_dims():
                 for y in objs:
                     sx = serre_on_object(q, x, F)
                     assert derived_hom_dim(q, x, y, 0) == derived_hom_dim(q, y, sx, 0)
+
+
+
+def test_serre_table_matches_serre_on_object():
+    for n in (2, 3, 4):
+        for q in all_orientations(n):
+            table = SerreTable(q, F)
+            for itv in all_intervals(n):
+                for j in (-2, -1, 0, 1, 3):
+                    delta, img = table.power(itv, j)
+                    want = serre_on_object(q, obj((0, itv.i, itv.j, 1)), F, power=j)
+                    assert want == obj((delta, img.i, img.j, 1))
+
+
+def test_serre_table_raises_on_a_decomposable_image(monkeypatch):
+    """Both users of the table raise, not assert (python -O drops asserts),
+    when an image is not indecomposable."""
+    from meshrep.suites import suite_frac_cy
+    from meshrep.tilting import _minimality_grid
+    real = functors.serre
+    monkeypatch.setattr(functors, "serre", lambda q, c: real(q, c).direct_sum(c))
+    with pytest.raises(RuntimeError, match="not indecomposable"):
+        suite_frac_cy(nmax=2)
+    with pytest.raises(RuntimeError, match="not indecomposable"):
+        _minimality_grid(LineQuiver.linear(2), 2, F)
