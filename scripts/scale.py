@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
-"""Time the AR and STC checks beyond the battery's sizes, one line per n.
+"""Time the census, AR and STC checks beyond the battery's sizes, one line per n.
 
-For n = 5..8 it times one `suite_stc(samples=1, ns=[n])` call and one
+For n = 8, 16 and 24 it times `decompose` over Q and over F5: the median of
+three random interval sums, each over a random orientation of A_n.  For
+n = 5..8 it times one `suite_stc(samples=1, ns=[n])` call and one
 build_ar + verify() + normalize round trip on a random interval sum over
-linear A_n, both at the battery's default seed.  Opt-in: not part of the
-tests or the benchmark.
+linear A_n.  Every input comes from the battery's default seed.  Opt-in: not
+part of the tests or the benchmark.
 
     PYTHONPATH=src python3 scripts/scale.py
 """
 
+import statistics
 import sys
 import time
 from typing import Tuple
@@ -17,10 +20,23 @@ import numpy as np
 
 from meshrep.armesh import build_ar
 from meshrep.derived import Complex, normalize
-from meshrep.linalg import GF
-from meshrep.rep import random_interval_sum
+from meshrep.linalg import GF, QQ, FieldSpec
+from meshrep.rep import decompose, random_interval_sum
 from meshrep.shapes import LineQuiver, embed_iQ
 from meshrep.suites import DEFAULT_SEED, suite_stc
+
+
+def decompose_time(n: int, field: FieldSpec, seed: int, samples: int = 3) -> Tuple[float, bool]:
+    """(median seconds of decompose, whether it recovered every random interval sum)."""
+    rng = np.random.default_rng(seed + n)
+    times, ok = [], True
+    for _ in range(samples):
+        q = LineQuiver(n, "".join(rng.choice(["F", "B"], size=n - 1)))
+        x, multiset = random_interval_sum(q, field, rng)
+        t0 = time.perf_counter()
+        ok = decompose(q, x) == multiset and ok
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times), ok
 
 
 def ar_round_trip(n: int, seed: int) -> Tuple[int, bool]:
@@ -35,6 +51,13 @@ def ar_round_trip(n: int, seed: int) -> Tuple[int, bool]:
 
 def main() -> int:
     failed = False
+    for n in (8, 16, 24):
+        cells = []
+        for field in (QQ, GF(5)):
+            secs, ok = decompose_time(n, field, DEFAULT_SEED)
+            failed = failed or not ok
+            cells.append(f"{field} {secs:7.4f}s {'PASS' if ok else 'FAIL'}")
+        print(f"n={n}  decompose " + "  ".join(cells), flush=True)
     for n in (5, 6, 7, 8):
         t0 = time.perf_counter()
         rep = suite_stc(seed=DEFAULT_SEED, samples=1, ns=(n,))

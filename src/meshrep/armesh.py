@@ -43,17 +43,15 @@ def stiffen(q: LineQuiver, values: Dict[int, Complex],
         if orient == "F":
             f = arrows[(v, w)]
             cyl, j, pr = mapping_cylinder(f)
-            old = values[w]
             values[w] = cyl
             arrows[(v, w)] = j
-            _reattach(q, arrows, w, old, cyl, into=_cyl_inclusion(f, cyl), outof=pr)
+            _reattach(q, arrows, w, cyl, into=_cyl_inclusion(f, cyl), outof=pr)
         else:
             g = arrows[(w, v)]
             p, inc, ev = mapping_path(g)
-            old = values[w]
             values[w] = p
             arrows[(w, v)] = ev
-            _reattach(q, arrows, w, old, p, into=inc, outof=_path_projection(g, p))
+            _reattach(q, arrows, w, p, into=inc, outof=_path_projection(g, p))
     return values, arrows
 
 
@@ -71,8 +69,7 @@ def _path_projection(g: ChainMap, p: Complex) -> ChainMap:
                      lambda d: [[identity_at(x.term(d)), None, None]])
 
 
-def _reattach(q: LineQuiver, arrows, w: int, old: Complex, new: Complex,
-              into: ChainMap, outof: ChainMap):
+def _reattach(q: LineQuiver, arrows, w: int, new: Complex, into: ChainMap, outof: ChainMap):
     """Recompose the other arrow at w after replacing its value."""
     if w < q.n:
         edge = q.orientation[w - 1]

@@ -183,11 +183,16 @@ def block_complex(parts: List[Part], degs: List[int],
                   diff: Callable[[int], Optional[Grid]]) -> Complex:
     """The termwise sum of the parts in the degrees degs.  diff(d) is the
     differential out of degree d as a grid, rows the parts in degree d - 1
-    and columns the parts in degree d, or None to store no differential."""
+    and columns the parts in degree d, or None to store no differential.
+    diff(d) is not called where the term in degree d or d - 1 is zero: the
+    Complex would drop that differential."""
     shape, field = parts[0][0].shape, parts[0][0].field
     terms = {d: reduce(Rep.direct_sum, [c.term(d - s) for c, s in parts]) for d in degs}
+    nonzero = {d for d, t in terms.items() if not t.is_zero()}
     diffs = {}
     for d in degs:
+        if d not in nonzero or d - 1 not in nonzero:
+            continue
         grid = diff(d)
         if grid is not None:
             diffs[d] = _blocks(field, shape.elements, grid, _part_dims(parts, d - 1),

@@ -6,6 +6,8 @@ same suites back `meshrep check`).
 
 import pytest
 
+from meshrep import suites
+from meshrep.rep import decompose
 from meshrep.suites import ALL_SUITES, DEFAULT_SEED, run_seed
 
 
@@ -18,6 +20,19 @@ def _run(name, **kwargs):
 def test_criterion_01_census():
     """n(n+1)/2 indecomposables; decompose recovers random sums over Q and F5."""
     _run("census")
+
+
+def test_census_fails_when_decompose_drops_a_summand(monkeypatch):
+    """Negative control: a decompose that loses one summand makes census FAIL."""
+    def dropping(q, x):
+        got = decompose(q, x)
+        first = next(iter(got))
+        got[first] -= 1
+        return {itv: m for itv, m in got.items() if m}
+
+    monkeypatch.setattr(suites, "decompose", dropping)
+    rep = suites.suite_census(seed=DEFAULT_SEED, nmax=2, samples=2)
+    assert not rep.passed and rep.detail == "decompose mismatch", rep.line()
 
 
 def test_criterion_02_ar_construction():

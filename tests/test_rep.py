@@ -1,8 +1,10 @@
+from typing import Dict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from meshrep.linalg import GF, QQ, Matrix
+from meshrep.linalg import GF, QQ, Matrix, rank
 from meshrep.rep import (
     Interval, all_intervals, assemble, decompose, ext1_dim, euler_form,
     find_isomorphism, generalized_rank, hom_dim, hom_space, injective, injective_interval,
@@ -68,6 +70,87 @@ def test_ext1_examples():
         p = projective(q, v, F)
         for itv in all_intervals(3):
             assert ext1_dim(q, p, interval_module(q, itv.i, itv.j, F)) == 0
+
+
+def rank_decompose(q: LineQuiver, x: Rep) -> Dict[Interval, int]:
+    """Interval multiplicities by rank inclusion-exclusion: the oracle of decompose.
+
+    m[i,j] = r(i,j) - r(i-1,j) - r(i,j+1) + r(i-1,j+1) with r the generalized
+    rank (lim -> colim) over vertex windows; valid in any orientation.
+    """
+    n = q.n
+    r = {(i, j): generalized_rank(x, i, j) for i in range(1, n + 1) for j in range(i, n + 1)}
+
+    def rr(i, j):
+        return r.get((i, j), 0)
+
+    out: Dict[Interval, int] = {}
+    for i, j in r:
+        m = rr(i, j) - rr(i - 1, j) - rr(i, j + 1) + rr(i - 1, j + 1)
+        assert m >= 0, f"negative multiplicity at [{i},{j}]"
+        if m:
+            out[Interval(i, j)] = m
+    return out
+
+
+def _random_map(field, rows, cols, kind, rng):
+    """A random rows x cols matrix of full rank, or of rank one where both sizes are positive."""
+    if kind == "rank1" and rows and cols:
+        while True:
+            u, v = Matrix.random(field, rows, 1, rng), Matrix.random(field, 1, cols, rng)
+            if not (u.is_zero() or v.is_zero()):
+                return u @ v
+    while True:
+        m = Matrix.random(field, rows, cols, rng)
+        if rank(m) == min(rows, cols):
+            return m
+
+
+def _random_rep(q, field, dims, kinds, rng) -> Rep:
+    mats = {(u, v): _random_map(field, dims[v], dims[u], kind, rng)
+            for (u, v), kind in zip(q.arrows(), kinds)}
+    return Rep(q.poset(), field, dims, mats, validate=False)
+
+
+def _check_against_oracle(q, x):
+    got = decompose(q, x)
+    assert got == rank_decompose(q, x)
+    for v in q.vertices:  # partition property
+        assert sum(m for itv, m in got.items() if itv.i <= v <= itv.j) == x.dims[v]
+
+
+ORACLE_FIELDS = [GF(2), GF(5), GF(32003), QQ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(ORACLE_FIELDS), st.integers(1, 6), st.data())
+def test_decompose_matches_rank_decompose(field, n, data):
+    """The sweep agrees with the generalized-rank oracle on arbitrary reps:
+    dims 0..3, each map of full rank or of rank one."""
+    q = data.draw(st.sampled_from(all_orientations(n)))
+    dims = {v: data.draw(st.integers(0, 3)) for v in q.vertices}
+    kinds = [data.draw(st.sampled_from(["full", "rank1"])) for _ in q.arrows()]
+    rng = np.random.default_rng(data.draw(st.integers(0, 10**6)))
+    _check_against_oracle(q, _random_rep(q, field, dims, kinds, rng))
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)
+def test_decompose_matches_rank_decompose_in_every_orientation(field):
+    rng = np.random.default_rng(11)
+    for n in range(1, 7):
+        for q in all_orientations(n):
+            for kind in ("full", "rank1"):
+                dims = {v: int(rng.integers(0, 4)) for v in q.vertices}
+                _check_against_oracle(q, _random_rep(q, field, dims, [kind] * (n - 1), rng))
+
+
+def test_decompose_rejects_a_rep_over_another_quiver():
+    x = interval_module(LineQuiver.linear(3), 1, 3, F)
+    with pytest.raises(ValueError):
+        decompose(LineQuiver.linear(2), x)
+    with pytest.raises(ValueError):  # same n, another orientation
+        decompose(LineQuiver(3, "FB"), x)
+    assert decompose(LineQuiver.linear(3), x) == {Interval(1, 3): 1}
 
 
 def test_decompose_simple_cases():
