@@ -114,9 +114,9 @@ def quotient_complex(m: Complex, incl: ChainMap) -> Tuple[Complex, ChainMap]:
         for (a, b) in sh.covers:
             mats[(a, b)] = proj[d][b] @ m.term(d).mats[(a, b)] @ sec[d][a]
         terms[d] = Rep(sh, fieldd, {e: dims[d][e] for e in sh.elements}, mats, validate=False)
-        if d - 1 in proj:
+        if d - 1 in terms:  # degs ascend, and Complex() would drop a differential into a zero term
             diffs[d] = {e: proj[d - 1][e] @ m.diff(d)[e] @ sec[d][e] for e in sh.elements}
-    qc = Complex(sh, fieldd, terms, {d: phi for d, phi in diffs.items()}, validate=False)
+    qc = Complex(sh, fieldd, terms, diffs, validate=False)
     pi = ChainMap(m, qc, {d: {e: proj[d][e] for e in sh.elements} for d in proj})
     return qc, pi
 

@@ -336,16 +336,30 @@ def glue(base: Poset, spec: Optional[Poset], values: Dict, arrows: Dict) -> Comp
 def homology_basis(c: Complex, d: int, e: Element) -> Tuple[Matrix, Matrix]:
     """(boundaries, representatives) of H_d(c) at e: a basis of im(d_{d+1}),
     and the kernel-basis columns of d_d that extend it to a basis of the
-    cycles.  Computed for every element of degree d on first use and kept on
-    c, which no code changes after construction."""
+    cycles.  A differential that c does not store, or whose matrix at e is
+    zero, is read instead of eliminated, with the same matrices as the
+    elimination gives:
+    - d_d zero: the cycles are the whole term, the identity;
+    - d_{d+1} zero: there are no boundaries (an n x 0 basis), and the
+      representatives are the cycles;
+    - otherwise the representatives are the columns of kernel_basis(d_d)
+      that complement_columns picks over column_space_basis(d_{d+1}).
+    Computed for every element of degree d on first use and kept on c,
+    which no code changes after construction."""
     got = c._homology.get(d)
     if got is None:
-        lo, hi = c.diff(d), c.diff(d + 1)
+        lo, hi, dims = c.diffs.get(d), c.diffs.get(d + 1), c.term(d).dims
         got = {}
         for x in c.shape.elements:
-            z = kernel_basis(lo[x])
-            b = column_space_basis(hi[x])
-            got[x] = (b, z.submatrix(range(z.nrows), complement_columns(b, z)))
+            if lo is None or lo[x].is_zero():
+                z = Matrix.identity(c.field, dims[x])
+            else:
+                z = kernel_basis(lo[x])
+            if hi is None or hi[x].is_zero():
+                got[x] = (Matrix.zeros(c.field, dims[x], 0), z)
+            else:
+                b = column_space_basis(hi[x])
+                got[x] = (b, z.submatrix(range(z.nrows), complement_columns(b, z)))
         c._homology[d] = got
     return got[e]
 
@@ -354,6 +368,8 @@ def homology_coordinates(c: Complex, d: int, e: Element, cycles: Matrix) -> Matr
     """The classes of the given d-cycles of c at e, as columns of coordinates
     in the representatives of homology_basis(c, d, e)."""
     bnd, reps = homology_basis(c, d, e)
+    if not bnd.ncols and reps.nrows == reps.ncols == cycles.nrows:
+        return cycles  # no boundaries and every vector a cycle: reps is the identity
     basis = Matrix.hstack(c.field, [bnd, reps], nrows=cycles.nrows)
     sol = solve(basis, cycles)
     if sol is None:
@@ -384,21 +400,22 @@ def homology_dims(c: Complex, e: Element) -> Dict[int, int]:
 
 
 def is_acyclic(c: Complex) -> bool:
+    """Whether H_d(c) vanishes in every degree, read from the column counts
+    of the homology bases."""
     degs = c.degrees()
-    if not degs:
-        return True
-    for d in range(min(degs), max(degs) + 1):
-        if not homology_rep(c, d).is_zero():
-            return False
-    return True
+    return not degs or not any(homology_basis(c, d, e)[1].ncols
+                               for d in range(min(degs), max(degs) + 1) for e in c.shape.elements)
 
 
 def minimize(c: Complex) -> Complex:
     """Replace by the homology complex with zero differentials.
 
     Legitimate up to quasi-isomorphism only over hereditary shapes (line
-    quivers); callers over product shapes must not use this.
+    quivers); callers over product shapes must not use this.  A complex
+    that stores no differential is its own homology complex.
     """
+    if not c.diffs:
+        return c
     degs = c.degrees()
     terms = {}
     for d in range(min(degs), max(degs) + 1) if degs else []:
@@ -450,11 +467,11 @@ class DerivedObject:
 
 def normalize(q: LineQuiver, c: Complex) -> DerivedObject:
     """Canonical form: over a hereditary shape a complex splits as the sum of
-    its shifted homologies."""
+    its shifted homologies; with no differential stored, its terms."""
     out: Dict[Tuple[int, Interval], int] = {}
     degs = c.degrees()
     for d in range(min(degs), max(degs) + 1) if degs else []:
-        h = homology_rep(c, d)
+        h = homology_rep(c, d) if c.diffs else c.term(d)
         if h.is_zero():
             continue
         for itv, m in decompose(q, h).items():

@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import reduce
 from typing import Dict, List, Optional, Tuple
 
-from .derived import ChainMap, Complex, DerivedObject, block_map, object_complex
+from .derived import ChainMap, Complex, DerivedObject, block_complex, block_map, object_complex
 from .linalg import (FieldSpec, Matrix, complement_columns, kernel_basis, split_vector,
                      sylvester_system)
 from .rep import Rep, interval_module
@@ -108,51 +108,33 @@ def projective_resolution(q: LineQuiver, x: Rep) -> Tuple[Rep, Rep, Dict, Dict]:
 
 
 def projective_model(q: LineQuiver, obj: DerivedObject, field: FieldSpec) -> Tuple[Complex, ChainMap]:
-    """(P, aug: P -> model(obj)) with P a complex of projectives quasi-iso to obj."""
+    """(P, aug: P -> model(obj)) with P a complex of projectives quasi-iso to obj:
+    the sum of one standard resolution per summand copy, laid out in the order
+    of object_complex, and the block-diagonal augmentation into that model."""
     shape = q.poset()
     model = object_complex(q, obj, field)
-    total = Complex.zero(shape, field)
-    aug_comps: Dict[int, Dict] = {}
+    pieces: List[Complex] = []
+    augs: List[Tuple[int, Dict]] = []  # (degree s, augmentation P0 -> x) per piece
     for (s, itv, mult) in obj.summands:
-        for _ in range(mult):
-            x = interval_module(q, itv.i, itv.j, field)
-            p1, p0, diff, aug = projective_resolution(q, x)
-            piece = Complex(shape, field, {s: p0, s + 1: p1}, {s + 1: diff}, validate=False)
-            # augmentation lands in degree s of the model
-            total, aug_comps = _sum_with_aug(total, aug_comps, piece, {s: aug}, field)
-    # assemble augmentation chain map into the zero-differential model
+        p1, p0, diff, aug = projective_resolution(q, interval_module(q, itv.i, itv.j, field))
+        pieces += [Complex(shape, field, {s: p0, s + 1: p1}, {s + 1: diff}, validate=False)] * mult
+        augs += [(s, aug)] * mult
+    total = Complex.zero(shape, field)
+    if pieces:
+        total = block_complex(
+            [(p, 0) for p in pieces], sorted({d for p in pieces for d in p.degrees()}),
+            lambda d: [[p.diff(d) if i == j else None for j, p in enumerate(pieces)]
+                       for i in range(len(pieces))] if any(d in p.diffs for p in pieces) else None)
+    # the augmentation lands in degree s of the model, one row block per piece of degree s
     comps: Dict[int, Dict] = {}
     for d in total.degrees():
-        comps[d] = {}
-        for e in shape.elements:
-            tgt = model.term(d).dims[e]
-            src = total.term(d).dims[e]
-            comps[d][e] = aug_comps.get(d, {}).get(e, Matrix.zeros(field, tgt, src)) \
-                if tgt else Matrix.zeros(field, 0, src)
+        rows = [(k, a) for k, (s, a) in enumerate(augs) if s == d]
+        comps[d] = {e: Matrix.block(field, [[a[e] if j == k else None for j in range(len(pieces))]
+                                            for k, a in rows],
+                                    [a[e].nrows for _, a in rows],
+                                    [p.term(d).dims[e] for p in pieces])
+                    for e in shape.elements}
     return total, ChainMap(total, model, comps)
-
-
-def _sum_with_aug(total, aug_comps, piece, piece_aug, field):
-    """Direct-sum a resolution piece onto the accumulator, tracking the
-    augmentation blocks into the canonical model (summands appended in the
-    same order object_complex lays them out)."""
-    new = total.direct_sum(piece)
-    out: Dict[int, Dict] = {}
-    for d in set(list(aug_comps.keys()) + list(piece_aug.keys())):
-        out[d] = {}
-        olda = aug_comps.get(d, {})
-        newa = piece_aug.get(d, {})
-        for e in piece.shape.elements:
-            left = olda.get(e)
-            right = newa.get(e)
-            lc = total.term(d).dims[e]
-            rc = piece.term(d).dims[e]
-            lr = left.nrows if left is not None else 0
-            rr = right.nrows if right is not None else 0
-            out[d][e] = Matrix.block(field, [[left, None], [None, right]],
-                                     [lr, rr], [lc, rc]) if (left is not None or right is not None) \
-                else Matrix.zeros(field, 0, lc + rc)
-    return new, out
 
 
 def chain_map_space(cx: Complex, cy: Complex) -> List[ChainMap]:

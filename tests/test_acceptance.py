@@ -65,6 +65,16 @@ def test_criterion_07_bimodule_calculus():
     _run("kernels")
 
 
+def test_kernels_fails_when_each_kernel_is_shifted_once_more(monkeypatch):
+    """Negative control: a functor_kernel whose bimodule is shifted once more
+    than the functor makes kernels FAIL."""
+    from meshrep import tilting
+    kernel = tilting.functor_kernel
+    monkeypatch.setattr(tilting, "functor_kernel", lambda *a, **kw: kernel(*a, **kw).shift(1))
+    rep = suites.suite_kernels(seed=DEFAULT_SEED, nmax=2, oracle_pairs=0)
+    assert not rep.passed and rep.detail == "kernel disagrees with sigma", rep.line()
+
+
 def test_criterion_08_golden_diagrams():
     """I(A3), D(A3), D(1<-2->3), square<->D4 patterns entry-for-entry."""
     _run("golden")

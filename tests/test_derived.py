@@ -7,17 +7,18 @@ from hypothesis import given, settings, strategies as st
 
 from meshrep.derived import (
     ChainMap, Complex, DerivedObject, Square, cone, cone_inclusion,
-    cone_projection, derived_hom_dim, fiber, fiber_projection, glue, homology_dims,
-    homology_rep, is_acyclic, is_bicartesian, linear_dual_complex,
+    cone_projection, derived_hom_dim, fiber, fiber_projection, glue, homology_basis,
+    homology_coordinates, homology_dims, homology_rep, is_acyclic, is_bicartesian, linear_dual_complex,
     mapping_cylinder, mapping_path, minimize, normalize, object_complex, restrict, split,
 )
 from meshrep.armesh import build_ar, merge_window_complex, pullback, pushout
-from meshrep.bimod import identity_prof
+from meshrep.bimod import duality_module, identity_prof
 from meshrep.functors import reflect_plus_obj
 from meshrep.hom_chain import tuple_into_sum
 from meshrep.linalg import (GF, QQ, Matrix, column_space_basis, complement_columns, kernel_basis,
                             rank, solve)
-from meshrep.rep import Interval, Rep, hom_space, interval_module, random_interval_sum, random_rep
+from meshrep.rep import (Interval, Rep, decompose, hom_space, interval_module, random_interval_sum,
+                         random_rep)
 from meshrep.serialize import complex_to_json, matrix_to_json
 from meshrep.shapes import LineQuiver, all_orientations, point_poset
 
@@ -149,20 +150,30 @@ def test_homology_rep_induced_maps():
     assert homology_rep(cn, 1).is_zero()
 
 
+def fresh_homology_basis(c, d, e):
+    """(boundaries, representatives) of H_d(c) at e by the three eliminations
+    (kernel_basis, column_space_basis, complement_columns), whatever the
+    differentials: the reference for homology_basis."""
+    z = kernel_basis(c.diff(d)[e])
+    bnd = column_space_basis(c.diff(d + 1)[e])
+    return bnd, z.submatrix(range(z.nrows), complement_columns(bnd, z))
+
+
+def fresh_coordinates(c, d, e, cycles):
+    """The classes of d-cycles by a solve against fresh_homology_basis: the
+    reference for homology_coordinates."""
+    bnd, reps = fresh_homology_basis(c, d, e)
+    sol = solve(Matrix.hstack(c.field, [bnd, reps], nrows=c.term(d).dims[e]), cycles)
+    return sol.submatrix(range(bnd.ncols, bnd.ncols + reps.ncols), range(cycles.ncols))
+
+
 def fresh_homology_rep(c, d):
     """H_d(c) from the differentials alone, with no bases kept on c: the
     reference for homology_rep."""
-    bnd, reps = {}, {}
-    for e in c.shape.elements:
-        z = kernel_basis(c.diff(d)[e])
-        bnd[e] = column_space_basis(c.diff(d + 1)[e])
-        reps[e] = z.submatrix(range(z.nrows), complement_columns(bnd[e], z))
-    mats = {}
-    for (a, b) in c.shape.covers:
-        basis = Matrix.hstack(c.field, [bnd[b], reps[b]], nrows=c.term(d).dims[b])
-        sol = solve(basis, c.term(d).mats[(a, b)] @ reps[a])
-        mats[(a, b)] = sol.submatrix(range(bnd[b].ncols, basis.ncols), range(reps[a].ncols))
-    return Rep(c.shape, c.field, {e: reps[e].ncols for e in c.shape.elements}, mats)
+    reps = {e: fresh_homology_basis(c, d, e)[1] for e in c.shape.elements}
+    mats = {(a, b): fresh_coordinates(c, d, b, c.term(d).mats[(a, b)] @ reps[a])
+            for (a, b) in c.shape.covers}
+    return Rep(c.shape, c.field, {e: r.ncols for e, r in reps.items()}, mats)
 
 
 @pytest.mark.parametrize("field", [GF(5), QQ], ids=str)
@@ -187,6 +198,78 @@ def test_homology_memo_matches_a_fresh_computation(field):
                     if (h := c.term(d).dims[e] - rank(c.diff(d)[e]) - rank(c.diff(d + 1)[e]))}
             for d in degs:
                 assert homology_rep(c, d) == fresh_homology_rep(c, d)
+
+
+def _module_pairs(kind, field, rng):
+    """(q, x, y): modules over the point (q None), over A_3 in each
+    orientation, or over the spectator product A_3 x A_3^op (q None), with
+    y containing x so that hom(x, y) holds the inclusion."""
+    if kind == "point":
+        pt = point_poset()
+        dims = [int(rng.integers(1, 4)) for _ in range(4)]
+        return [(None, Rep(pt, field, {(): a}, {}), Rep(pt, field, {(): a + b}, {}))
+                for a, b in zip(dims[::2], dims[1::2])]
+    if kind == "spectator":
+        q = LineQuiver.linear(3)
+        i, dq = identity_prof(q, field).complex.term(0), duality_module(q, field).complex.term(0)
+        return [(None, i, i.direct_sum(dq)), (None, dq, dq.direct_sum(i))]
+    out = []
+    for q in all_orientations(3):
+        x = random_rep(q, field, rng)
+        out.append((q, x, x.direct_sum(random_rep(q, field, rng))))
+    return out
+
+
+def _vanishing_complexes(x, y, rng):
+    """Complexes whose differentials vanish at some elements and degrees: x and
+    its shifts, the cone of the zero map x -> y, the cone of a random map
+    through the inclusion (zero where x is), and that cone plus a summand
+    with no differential, and plus its own shift."""
+    cx, cy = Complex.from_rep(x), Complex.from_rep(y)
+    f = {e: Matrix.zeros(x.field, y.dims[e], x.dims[e]) for e in x.shape.elements}
+    for h in hom_space(x, y):
+        f = {e: f[e] + h[e].scale(int(rng.integers(1, 5))) for e in x.shape.elements}
+    c = cone(ChainMap(cx, cy, {0: f}))
+    return [cx, cx.shift(1), cy.shift(-2), cone(ChainMap.zero(cx, cy)), c,
+            c.direct_sum(cx), c.direct_sum(cy.shift(1)), c.direct_sum(c.shift(1))]
+
+
+@pytest.mark.parametrize("kind", ["point", "A3", "spectator"])
+@pytest.mark.parametrize("field", [GF(5), GF(32003), QQ], ids=["F5", "F32003", "Q"])
+def test_zero_differentials_read_as_the_eliminations_give(field, kind):
+    """homology_basis reads a zero differential instead of eliminating it;
+    its bases, homology_coordinates, is_acyclic, minimize and normalize equal
+    the route through the three eliminations and a solve, byte for byte."""
+    rng = np.random.default_rng(17)
+    seen = set()
+    for q, x, y in _module_pairs(kind, field, rng):
+        for c in _vanishing_complexes(x, y, rng):
+            degs = range(min(c.degrees()) - 1, max(c.degrees()) + 2)
+            fresh = {d: fresh_homology_rep(c, d) for d in degs}
+            for d in degs:
+                lo, hi = c.diffs.get(d), c.diffs.get(d + 1)
+                for e in c.shape.elements:
+                    seen.add((lo is None or lo[e].is_zero(), hi is None or hi[e].is_zero()))
+                    bnd, reps = homology_basis(c, d, e)
+                    assert (bnd, reps) == fresh_homology_basis(c, d, e)
+                    z = kernel_basis(c.diff(d)[e])
+                    for cycles in (reps, z, z @ Matrix.random(field, z.ncols, 2, rng)):
+                        assert homology_coordinates(c, d, e, cycles) == fresh_coordinates(c, d, e, cycles)
+                    with pytest.raises(ValueError):
+                        homology_coordinates(c, d, e, Matrix.zeros(field, reps.nrows + 1, 1))
+                assert homology_rep(c, d) == fresh[d]
+            assert is_acyclic(c) == all(h.is_zero() for h in fresh.values())
+            m = minimize(c)
+            assert not m.diffs and m.degrees() == [d for d, h in fresh.items() if not h.is_zero()]
+            assert all(m.term(d) == h for d, h in fresh.items())
+            if q is not None:
+                route: dict = {}
+                for d, h in fresh.items():
+                    for itv, k in decompose(q, h).items():
+                        route[(d, itv)] = k
+                assert normalize(q, c) == DerivedObject.from_dict(route)
+    # every combination of zero and nonzero differentials into and out of a degree was met
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_bicartesian_parallel_identities():
