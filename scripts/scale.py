@@ -3,9 +3,9 @@
 
 For n = 8, 16 and 24 it times `decompose` over Q and over F5: the median of
 three random interval sums, each over a random orientation of A_n.  For
-n = 5..8 it times one `suite_stc(samples=1, ns=[n])` call and one
-build_ar + verify() + normalize round trip on a random interval sum over
-linear A_n.  Every input comes from the battery's default seed.  Opt-in: not
+n = 5, 6, 7, 8, 10, 12 and 16 it times one `suite_stc(samples=1, ns=[n])`
+call and one build_ar + verify() + normalize round trip on a random interval
+sum over linear A_n.  Every input comes from the battery's default seed.  Opt-in: not
 part of the tests or the benchmark.
 
     PYTHONPATH=src python3 scripts/scale.py
@@ -58,7 +58,7 @@ def main() -> int:
             failed = failed or not ok
             cells.append(f"{field} {secs:7.4f}s {'PASS' if ok else 'FAIL'}")
         print(f"n={n}  decompose " + "  ".join(cells), flush=True)
-    for n in (5, 6, 7, 8):
+    for n in (5, 6, 7, 8, 10, 12, 16):
         t0 = time.perf_counter()
         rep = suite_stc(seed=DEFAULT_SEED, samples=1, ns=(n,))
         t1 = time.perf_counter()

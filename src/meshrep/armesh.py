@@ -3,12 +3,13 @@
 The diagram is stored vertexwise: a chain complex of (spectator-)reps at
 every window vertex and a chain map along every mesh arrow, with all squares
 commuting on the nose.  To achieve strictness together with the correct
-homotopy types, the input is first "stiffened" (forward arrows become split
-monos via mapping cylinders, backward arrows split epis via path objects);
-squares to the right of the embedded quiver are then filled by honest
-pushouts along split monos, squares to the left by honest pullbacks along
-split epis, and the boundary rows carry contractible models (cones and path
-objects of identities), which normalize to zero.
+homotopy types, the input is first "stiffened" (see stiffen): each value
+gains the cone (forward arrow) or fiber (backward arrow) of the identity of
+the previous input value, so forward arrows become split monos and backward
+arrows split epis; squares to the right of the embedded quiver are then
+filled by honest pushouts along split monos, squares to the left by honest
+pullbacks along split epis, and the boundary rows carry contractible models
+(cones and path objects of identities), which normalize to zero.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from .derived import (ChainMap, Complex, DerivedObject, Square, block_map, cone, cone_inclusion,
                       fiber_projection, glue, homology_dims, identity_at, is_bicartesian,
-                      linear_dual_complex, mapping_cylinder, mapping_path, negated, normalize,
-                      split)
+                      linear_dual_complex, negated, normalize, split)
 from .linalg import (FieldSpec, Matrix, column_space_basis, complement_columns,
                      complement_projection, kernel_basis, rank, solve)
 from .rep import Rep
@@ -34,51 +34,47 @@ Vertex = Tuple[int, int]
 
 def stiffen(q: LineQuiver, values: Dict[int, Complex],
             arrows: Dict[Tuple[int, int], ChainMap]):
-    """Replace values so every forward arrow is a split mono (mapping
-    cylinder) and every backward arrow a split epi (path object)."""
-    values = dict(values)
-    arrows = dict(arrows)
+    """An isomorphic diagram whose forward arrows are split monos and whose
+    backward arrows are split epis, built in one sweep along the quiver.
+
+    The value at v becomes X_v + D_v with D_1 = 0 and D_v contractible.  An
+    arrow between v and w = v + 1 adds C = cone(id X_v) (forward) or
+    C = fib(id X_v) (backward) and carries D_v along by its identity:
+
+        forward  f: X_v -> X_w   becomes (f, incl, id): X_v + D_v -> X_w + C + D_v
+        backward g: X_w -> X_v   becomes (g + proj, id): X_w + C + D_v -> X_v + D_v
+
+    and D_w = C + D_v, so the total is |X_k| + 2 sum_{l<k} |X_l| at k.  The
+    projections X_v + D_v -> X_v are quasi-isomorphisms; along a forward
+    arrow they commute with the arrows strictly, along a backward arrow up to
+    proj . pr_C, which factors through the contractible C and so is
+    null-homotopic.  A_n is a free shape, so the underlying-diagram functor
+    is full and conservative there (Groth, Derivators, pointed derivators
+    and stable derivators, AGT 2013; Groth-Stovicek, arXiv:1409.5003): a
+    vertexwise quasi-isomorphism whose squares commute up to homotopy is an
+    isomorphism of coherent diagrams."""
+    dv = Complex.zero(values[1].shape, values[1].field)  # D_1
+    out_values, out_arrows = {1: values[1]}, {}
     for i, orient in enumerate(q.orientation):
         v, w = i + 1, i + 2
+        x, y, xv = values[v], values[w], out_values[v]
         if orient == "F":
-            f = arrows[(v, w)]
-            cyl, j, pr = mapping_cylinder(f)
-            values[w] = cyl
-            arrows[(v, w)] = j
-            _reattach(q, arrows, w, cyl, into=_cyl_inclusion(f, cyl), outof=pr)
+            f, incl = arrows[(v, w)], cone_inclusion(ChainMap.identity(x))
+            c = incl.tgt
         else:
-            g = arrows[(w, v)]
-            p, inc, ev = mapping_path(g)
-            values[w] = p
-            arrows[(w, v)] = ev
-            _reattach(q, arrows, w, p, into=inc, outof=_path_projection(g, p))
-    return values, arrows
-
-
-def _cyl_inclusion(f: ChainMap, cyl: Complex) -> ChainMap:
-    """The canonical split mono Y -> Cyl(f) (section of the projection)."""
-    x, y = f.src, f.tgt
-    return block_map(y, [(y, 0)], cyl, [(x, 0), (x, 1), (y, 0)], cyl.degrees(),
-                     lambda d: [[None], [None], [identity_at(y.term(d))]])
-
-
-def _path_projection(g: ChainMap, p: Complex) -> ChainMap:
-    """The canonical split epi P(g) -> X (retraction of the inclusion)."""
-    x, y = g.src, g.tgt
-    return block_map(p, [(x, 0), (y, 0), (y, -1)], x, [(x, 0)], p.degrees(),
-                     lambda d: [[identity_at(x.term(d)), None, None]])
-
-
-def _reattach(q: LineQuiver, arrows, w: int, new: Complex, into: ChainMap, outof: ChainMap):
-    """Recompose the other arrow at w after replacing its value."""
-    if w < q.n:
-        edge = q.orientation[w - 1]
-        if edge == "F":  # arrow w -> w+1, source replaced
-            h = arrows[(w, w + 1)]
-            arrows[(w, w + 1)] = ChainMap(new, h.tgt, h.compose(outof).comps)
-        else:  # arrow w+1 -> w, target replaced
-            h = arrows[(w + 1, w)]
-            arrows[(w + 1, w)] = ChainMap(h.src, new, into.compose(h).comps)
+            g, proj = arrows[(w, v)], fiber_projection(ChainMap.identity(x))
+            c = proj.src
+        dw = c.direct_sum(dv)
+        xw, at_v, at_w = y.direct_sum(dw), [(x, 0), (dv, 0)], [(y, 0), (c, 0), (dv, 0)]
+        # the degrees of X_w + C + D_v contain those of X_v + D_v
+        if orient == "F":
+            out_arrows[(v, w)] = block_map(xv, at_v, xw, at_w, xw.degrees(), lambda d: [
+                [f.comp(d), None], [incl.comp(d), None], [None, identity_at(dv.term(d))]])
+        else:
+            out_arrows[(w, v)] = block_map(xw, at_w, xv, at_v, xw.degrees(), lambda d: [
+                [g.comp(d), proj.comp(d), None], [None, None, identity_at(dv.term(d))]])
+        out_values[w], dv = xw, dw
+    return out_values, out_arrows
 
 
 # ---------------------------------------------------------------------------

@@ -206,10 +206,11 @@ def cancel_tensor(m: Bimodule, n: Bimodule, method: str = "auto") -> Bimodule:
     summands = _chain_summands(mid, method)
     # the external tensor m(-, ch[-1]) x n(ch[0], -) at each chain
     tensors = {ch: (mslices[ch[-1]], nslices[ch[0]]) for (_, ch) in summands}
+    tensor_degs = {ch: (a.degrees(), set(b.degrees())) for ch, (a, b) in tensors.items()}
 
     def pairs(ch: Tuple, d: int) -> List[Tuple[int, int]]:
-        a, b = tensors[ch]
-        return [(i, d - i) for i in a.degrees() if (d - i) in set(b.degrees())]
+        adegs, bdegs = tensor_degs[ch]
+        return [(i, d - i) for i in adegs if (d - i) in bdegs]
 
     # vertical maps between tensors induced by middle actions, each built once:
     # many chains and target blocks share the same pair u <= v
@@ -369,7 +370,7 @@ def boxtimes(m1: Bimodule, m2: Bimodule) -> Bimodule:
         (a1, b1), (a2, b2) = e1, e2
         return ((a1, a2), (b1, b2))
 
-    degs1, degs2 = c1.degrees(), c2.degrees()
+    degs1, degs2 = c1.degrees(), set(c2.degrees())
     terms = {}
     diffs: Dict[int, Dict] = {}
     allk = sorted({i + j for i in degs1 for j in degs2})
@@ -377,7 +378,7 @@ def boxtimes(m1: Bimodule, m2: Bimodule) -> Bimodule:
         return Bimodule(left, right, Complex.zero(target, field))
 
     def pairs(d):
-        return [(i, d - i) for i in degs1 if (d - i) in set(degs2)]
+        return [(i, d - i) for i in degs1 if (d - i) in degs2]
 
     def _split(e):
         (a12, b12) = e

@@ -40,6 +40,18 @@ def test_criterion_02_ar_construction():
     _run("ar")
 
 
+def test_ar_fails_when_stiffen_forgets_the_arrows(monkeypatch):
+    """Negative control: a stiffening handed zero maps in place of the input
+    arrows makes ar FAIL."""
+    from meshrep import armesh
+    from meshrep.derived import ChainMap
+    stiffen = armesh.stiffen
+    monkeypatch.setattr(armesh, "stiffen", lambda q, values, arrows: stiffen(
+        q, values, {k: ChainMap.zero(a.src, a.tgt) for k, a in arrows.items()}))
+    rep = suites.suite_ar(seed=DEFAULT_SEED, nmax=2)
+    assert not rep.passed and rep.detail == "round trip failed", rep.line()
+
+
 def test_criterion_03_reflections():
     """Inverse laws, commuting sinks, admissible-sequence independence."""
     _run("reflections")

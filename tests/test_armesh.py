@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from meshrep.armesh import (ARDiagram, build_ar, check_flip_sigma,
-                            check_mesh_relations, mesh_hom_table, mesh_object,
+                            check_mesh_relations, mesh_hom_table, mesh_object, stiffen,
                             suspension_orbits)
-from meshrep.derived import Complex, DerivedObject, derived_hom_dim, normalize, object_complex
+from meshrep.bimod import identity_prof
+from meshrep.derived import (Complex, DerivedObject, derived_hom_dim, glue, homology_rep,
+                             normalize, object_complex, split)
 from meshrep.hom_chain import hom_class_data, projective_model
-from meshrep.linalg import GF, Matrix
-from meshrep.rep import Interval, Rep, all_intervals, interval_module, random_interval_sum
+from meshrep.linalg import GF, Matrix, solve
+from meshrep.rep import (Interval, Rep, all_intervals, hom_space, interval_module,
+                         random_interval_sum)
 from meshrep.functors import serre, transport, transport_embedding
 from meshrep.shapes import (LineQuiver, MeshWindow, all_orientations, default_window,
                             embed_iQ, mesh_map_s)
@@ -72,6 +75,59 @@ def test_build_ar_roundtrip_and_certificates(n):
         assert all(rep.values()), (q, rep)
         back = d.restrict(q, embed_iQ(q))
         assert normalize(q, back) == normalize(q, c)
+
+
+def _splits(m, src: Rep, tgt: Rep, mono: bool) -> bool:
+    """Whether the rep map m: src -> tgt has a retraction (mono) or a section
+    (epi) that is itself a rep map."""
+    elems = src.shape.elements
+    ident = [Matrix.identity(F, (src if mono else tgt).dims[e]) for e in elems]
+
+    def flat(mats):
+        return [x for mat in mats for row in mat.rows() for x in row]
+
+    if not flat(ident):
+        return True
+    cols = [flat([r[e] @ m[e] if mono else m[e] @ r[e] for e in elems])
+            for r in hom_space(tgt, src)]
+    if not cols:
+        return False
+    return solve(Matrix.from_rows(F, [list(row) for row in zip(*cols)]),
+                 Matrix.column(F, flat(ident))) is not None
+
+
+def _check_stiffened(q, c, spec):
+    """The stiffened diagram of c: its vertex totals, that its forward arrows
+    are split monos and its backward arrows split epis in every degree, and
+    that it glues to a complex with the homology of c."""
+    values, arrows = split(c, q.poset(), spec)
+    vals, arrs = stiffen(q, values, arrows)
+    for k in q.vertices:
+        expect = values[k].total_dim() + 2 * sum(values[l].total_dim() for l in range(1, k))
+        assert vals[k].total_dim() == expect, (q, k)
+    for (u, v), phi in arrs.items():
+        assert phi.src is vals[u] and phi.tgt is vals[v]
+        phi.validate()
+        forward = v == u + 1
+        for d in sorted(set(phi.src.degrees()) | set(phi.tgt.degrees())):
+            assert _splits(phi.comp(d), phi.src.term(d), phi.tgt.term(d), mono=forward), (q, u, v, d)
+    glued = glue(q.poset(), spec, vals, arrs)
+    degs = sorted(set(c.degrees()) | set(glued.degrees()))
+    for d in range(degs[0] - 1, degs[-1] + 2):
+        assert homology_rep(glued, d) == homology_rep(c, d), (q, d)
+    return sum(v.total_dim() for v in vals.values())
+
+
+def test_stiffen_is_quadratic_and_split():
+    """Stiffening adds cone(id) or fib(id) of each earlier input value once:
+    M[1,n] stiffens to total dimension n^2, with split arrows and the input's
+    homology, over linear and alternating A_n and over a spectator shape."""
+    for n in range(2, 9):
+        for q in (LineQuiver.linear(n), LineQuiver(n, ("FB" * n)[:n - 1])):
+            c = Complex.from_rep(interval_module(q, 1, n, F)).shift(n % 2)
+            assert _check_stiffened(q, c, None) == n * n, q
+    q = LineQuiver(3, "FB")
+    _check_stiffened(q, identity_prof(q, F).complex.shift(1), q.poset().opposite())
 
 
 def test_flip_sigma():

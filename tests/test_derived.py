@@ -465,16 +465,18 @@ def _block_inputs(field):
     return point, line
 
 
+def _cx(c):
+    """A complex as JSON, with the degrees of its stored differentials."""
+    return [complex_to_json(c), sorted(c.diffs)]
+
+
 def _block_outputs(field) -> str:
     """JSON of every block construction on the fixed inputs: complexes with
     the degrees of their stored differentials, chain maps in every degree of
     their source or target."""
-    def cx(c):
-        return [complex_to_json(c), sorted(c.diffs)]
-
     def cm(f):
         degs = sorted(set(f.src.degrees()) | set(f.tgt.degrees()))
-        return [cx(f.src), cx(f.tgt),
+        return [_cx(f.src), _cx(f.tgt),
                 [[d, [matrix_to_json(f.comp(d)[e]) for e in f.src.shape.elements]] for d in degs]]
 
     out = []
@@ -484,27 +486,44 @@ def _block_outputs(field) -> str:
         path, inc, ev = mapping_path(phi)
         p, mt, mb = pushout(j, phi)
         a, pt, pb = pullback(ev, phi)
-        out += [cx(cone(phi)), cm(cone_inclusion(phi)), cm(cone_projection(phi)),
-                cm(fiber_projection(phi)), cx(cyl), cm(j), cm(pr), cx(path), cm(inc), cm(ev),
-                cx(x.direct_sum(y)), cx(p), cm(mt), cm(mb), cx(a), cm(pt), cm(pb),
+        out += [_cx(cone(phi)), cm(cone_inclusion(phi)), cm(cone_projection(phi)),
+                cm(fiber_projection(phi)), _cx(cyl), cm(j), cm(pr), _cx(path), cm(inc), cm(ev),
+                _cx(x.direct_sum(y)), _cx(p), cm(mt), cm(mb), _cx(a), cm(pt), cm(pb),
                 cm(tuple_into_sum([phi, ChainMap.identity(x)]))]
-    q = LineQuiver.linear(3)
-    c = Complex.from_rep(interval_module(q, 1, 3, field).direct_sum(interval_module(q, 2, 2, field)))
-    out.append(cx(merge_window_complex(build_ar(q, c.shift(1)))))
     return json.dumps(out, sort_keys=True)
 
 
-# recorded from the per-construction block loops that predate block_complex and block_map
+def _ar_output(field) -> str:
+    """JSON of one AR diagram merged into a complex over its window."""
+    q = LineQuiver.linear(3)
+    c = Complex.from_rep(interval_module(q, 1, 3, field).direct_sum(interval_module(q, 2, 2, field)))
+    return json.dumps(_cx(merge_window_complex(build_ar(q, c.shift(1)))), sort_keys=True)
+
+
+# recorded from the block constructions before the AR diagram got a hash of its own
 BLOCK_GOLDEN = {
-    "F5": "b05dbc4a552d67b8bd3d4fabff516480ed892955c2403b9bb7fac49cbab928a5",
-    "F32003": "0ffec0cf189e9ccd72f77a131a3cfd509f52636f0715bba042f9a0f87a2ae625",
-    "Q": "db2b9438549af4f1246e6f5a410528610a8bed77edb406b466f6248fa0de0756",
+    "F5": "97b0a0e98eefc5854129d44eef5a154d427e1bdb760ac6ca5ee347e27424b86e",
+    "F32003": "c41b863a64c6a2d20d4ec5053e663b690cbe31a8e47bfbd2e197a546348f90b0",
+    "Q": "36f527ebd14b01208fb7d4e3cdebff7c0f8d5d01a6b61fcd43e3abd9365bb9b1",
+}
+# recorded from the stiffening that adds one contractible summand per earlier vertex
+AR_GOLDEN = {
+    "F5": "3c8e658432c6ab2e8b0d511fc6be763b5690d0f44ce24b1d7ae6caabd20d7fa7",
+    "F32003": "3f92ae6dcba4a227709d4761123f498a1f8d327fa356baeab827efe4198b2959",
+    "Q": "d23930073bfa0edde90ce3ece5de5b80964d9553975ec2ad2cd8510ee2082b5d",
 }
 
 
 @pytest.mark.parametrize("field", [GF(5), GF(32003), QQ], ids=["F5", "F32003", "Q"])
 def test_block_constructions_are_pinned(field):
     """The exact bytes of the cones, fibers, cylinders, path objects, direct
-    sums, pushouts, pullbacks and tuple maps, and of one AR diagram."""
+    sums, pushouts, pullbacks and tuple maps."""
     got = hashlib.sha256(_block_outputs(field).encode()).hexdigest()
     assert got == BLOCK_GOLDEN[str(field)]
+
+
+@pytest.mark.parametrize("field", [GF(5), GF(32003), QQ], ids=["F5", "F32003", "Q"])
+def test_ar_diagram_is_pinned(field):
+    """The exact bytes of one AR diagram: stiffening, fills and trimming."""
+    got = hashlib.sha256(_ar_output(field).encode()).hexdigest()
+    assert got == AR_GOLDEN[str(field)]
