@@ -1,17 +1,23 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
+from meshrep.bimod import identity_prof
 from meshrep.derived import (ChainMap, Complex, DerivedObject, cone, normalize,
                              object_complex)
-from meshrep.linalg import GF, Matrix
+from meshrep.linalg import GF, QQ, Matrix
 from meshrep.rep import (Interval, all_intervals, hom_space, interval_module,
                          injective_interval, projective_interval, random_interval_sum)
 from meshrep import functors
 from meshrep.functors import (SerreTable, coxeter_minus, coxeter_plus, reflect_map,
-                              reflect_minus, reflect_plus, reflect_plus_obj,
+                              reflect_minus, reflect_minus_obj, reflect_plus, reflect_plus_obj,
                               serre, serre_inverse, serre_on_object, serre_power,
                               transport, untransport)
+from meshrep.serialize import complex_to_json
 from meshrep.shapes import LineQuiver, all_orientations, admissible_sequence
+from meshrep.tilting import coxeter_bimodule
 
 F = GF(32003)
 
@@ -223,3 +229,50 @@ def test_serre_table_raises_on_a_decomposable_image(monkeypatch):
         suite_frac_cy(nmax=2)
     with pytest.raises(RuntimeError, match="not indecomposable"):
         _minimality_grid(LineQuiver.linear(2), 2, F)
+
+
+def _reflections(q, c, spectator=None):
+    """Every one-step reflection of c: s^+ at each sink, s^- at each source."""
+    return ([reflect_plus_obj(q, a, c, spectator) for a in q.sinks()]
+            + [reflect_minus_obj(q, b, c, spectator) for b in q.sources()])
+
+
+def _reflection_outputs(field) -> str:
+    """JSON, with the degrees of the stored differentials, of every reflection
+    at every sink and source of every orientation of A_1..A_4: of a random
+    interval sum, of each of its reflections again (nonzero differentials),
+    and of I_Q over Q x Q^op and of its reflections again; then C_Q^+ and
+    C_Q^-."""
+    out = []
+    rng = np.random.default_rng(12)
+    for n in range(1, 5):
+        for q in all_orientations(n):
+            x, _ = random_interval_sum(q, field, rng, max_total=4)
+            x = x.direct_sum(interval_module(q, 1, n, field))
+            spec = q.poset().opposite()
+            for c, s in ((Complex.from_rep(x), None), (identity_prof(q, field).complex, spec)):
+                for q2, c2 in _reflections(q, c, s):
+                    out.append(_cx(c2))
+                    out += [_cx(c3) for _, c3 in _reflections(q2, c2, s)]
+            out += [_cx(coxeter_bimodule(q, sign, field).complex) for sign in (1, -1)]
+    return json.dumps(out, sort_keys=True)
+
+
+def _cx(c):
+    return [complex_to_json(c), sorted(c.diffs)]
+
+
+# recorded from the reflections that laid out their fibers and cones by hand
+REFLECTION_GOLDEN = {
+    "F5": "74695433801d636b1d2c0f061d5ca9f66829224ad670b91e89568a3726aecc6d",
+    "F32003": "47d7dc48c9100efdb17d24fc0cb86508f9d8b889ed61cea5ef6fb942c36b0e14",
+    "Q": "5323d6605fad2399f2b462a6dd12f8da2fba55f2a944dd3285afb9a4e86f78cf",
+}
+
+
+@pytest.mark.parametrize("field", [GF(5), GF(32003), QQ], ids=["F5", "F32003", "Q"])
+def test_reflections_are_pinned(field):
+    """The exact bytes of s_a^+ and s_a^-, chained, with and without a
+    spectator, and of the Coxeter bimodules."""
+    got = hashlib.sha256(_reflection_outputs(field).encode()).hexdigest()
+    assert got == REFLECTION_GOLDEN[str(field)]
