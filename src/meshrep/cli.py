@@ -49,6 +49,13 @@ def _quiver(spec: str) -> LineQuiver:
     raise click.UsageError(f"bad quiver spec {spec!r}: use e.g. A3 or FFB")
 
 
+def _target(q: LineQuiver, spec: str) -> LineQuiver:
+    q2 = _quiver(spec)
+    if q2.n != q.n:
+        raise click.UsageError(f"--target {spec} has {q2.n} vertices, not {q.n}")
+    return q2
+
+
 def _load_complex(path: Optional[str], q: LineQuiver, f: FieldSpec) -> Complex:
     """The JSON rep or complex in path (stdin when path is None).  It must be
     over the poset of q and, when -f is given, over that field."""
@@ -71,7 +78,12 @@ def _load_complex(path: Optional[str], q: LineQuiver, f: FieldSpec) -> Complex:
 
 
 def _interval_complex(q: LineQuiver, spec: str, field: FieldSpec) -> Complex:
-    i, j = (int(x) for x in spec.split(","))
+    try:
+        i, j = (int(x) for x in spec.split(","))
+    except ValueError:
+        raise click.UsageError(f"bad interval {spec!r}: use i,j")
+    if not 1 <= i <= j <= q.n:
+        raise click.UsageError(f"bad interval {spec!r}: need 1 <= i <= j <= {q.n}")
     return Complex.from_rep(interval_module(q, i, j, field))
 
 
@@ -120,12 +132,11 @@ def _functor_command(name, fn):
 def _do_reflect(q, c, vertex=None, target=None):
     if vertex is None:
         raise click.UsageError("reflect needs --vertex")
-    if q.is_sink(vertex):
+    if vertex in q.sinks():
         return reflect_plus(q, vertex, c)
-    if q.is_source(vertex):
-        q2, out = reflect_minus(q, vertex, c)
-        return q2, out
-    raise click.UsageError(f"{vertex} is neither sink nor source")
+    if vertex in q.sources():
+        return reflect_minus(q, vertex, c)
+    raise click.UsageError(f"{vertex} is neither a sink nor a source of {q}")
 
 
 def _do_coxeter(q, c, vertex=None, target=None):
@@ -144,7 +155,7 @@ def _do_nakayama(q, c, vertex=None, target=None):
 def _do_transport(q, c, vertex=None, target=None):
     if not target:
         raise click.UsageError("transport needs --target")
-    q2 = _quiver(target)
+    q2 = _target(q, target)
     return q2, transport(q, q2, c)
 
 
@@ -174,7 +185,11 @@ def ar_quiver(quiver, field, interval, input_path, fmt, kmin, kmax):
         c = _load_complex(input_path, q, f)
     else:
         c = Complex.zero(q.poset(), f)
-    window = MeshWindow(q.n, kmin, kmax) if kmin is not None and kmax is not None else None
+    if (kmin is None) != (kmax is None):
+        raise click.UsageError("--kmin and --kmax go together")
+    if kmin is not None and kmin > kmax:
+        raise click.UsageError(f"empty window: --kmin {kmin} > --kmax {kmax}")
+    window = MeshWindow(q.n, kmin, kmax) if kmin is not None else None
     d = build_ar(q, c, window=window)
     if fmt == "dot":
         click.echo(d.to_dot(), nl=False)
@@ -212,14 +227,16 @@ def tilt(quiver, field, kind, vertex, target, sign):
     """Universal tilting bimodule kernels (entry pattern as JSON)."""
     q = _quiver(quiver)
     f = _field(field)
+    if sign not in (1, -1):
+        raise click.UsageError(f"--sign must be 1 or -1, not {sign}")
     if kind == "apr":
-        if vertex is None:
-            raise click.UsageError("apr needs --vertex (a sink)")
+        if vertex not in q.sinks():
+            raise click.UsageError(f"apr needs --vertex, a sink of {q}")
         t, _ = tiltmod.apr_tilt(q, vertex, f)
     elif kind == "iter":
         if not target:
             raise click.UsageError("iter needs --target")
-        t = tiltmod.iter_tilt(_quiver(target), q, f)
+        t = tiltmod.iter_tilt(_target(q, target), q, f)
     else:
         t = tiltmod.coxeter_bimodule(q, sign, f)
     pattern = {f"{a}|{b}": dims for (a, b), dims in sorted(t.entry_pattern().items())}

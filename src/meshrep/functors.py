@@ -10,11 +10,13 @@ the spectator is trivial).
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Dict, List, Optional, Tuple
 
-from .derived import ChainMap, Complex, DerivedObject, minimize, normalize, vertex_key
+from .derived import (ChainMap, Complex, DerivedObject, block_map, cone, fiber, glue, identity_at,
+                      minimize, negated, normalize, split, vertex_key)
 from .linalg import FieldSpec, Matrix
-from .rep import Interval, Rep, all_intervals, interval_module
+from .rep import Interval, all_intervals, interval_module
 from .shapes import (LineQuiver, Poset, admissible_sequence, admissible_source_sequence,
                      embed_iQ, reflection_path)
 
@@ -23,18 +25,11 @@ def _spec_elems(spectator: Optional[Poset]):
     return [None] if spectator is None else list(spectator.elements)
 
 
-def quiver_shape(q: LineQuiver, spectator: Optional[Poset]) -> Poset:
-    base = q.poset()
-    if spectator is None:
-        return base
-    return base.product(spectator)
-
-
 def reflect_plus_obj(q: LineQuiver, a: int, c: Complex,
                      spectator: Optional[Poset] = None) -> Tuple[LineQuiver, Complex]:
     """s_a^+ at chain level: the value at the sink a becomes the fiber of the
-    map from the sum of its neighbours, with the fiber projections as the new
-    arrows out of the (now source) vertex a."""
+    map from the sum of its neighbours, with the coordinate projections as the
+    new arrows out of the (now source) vertex a."""
     if not q.is_sink(a):
         raise ValueError(f"{a} is not a sink of {q}")
     q2 = q.reflect(a)
@@ -44,7 +39,8 @@ def reflect_plus_obj(q: LineQuiver, a: int, c: Complex,
 def reflect_minus_obj(q: LineQuiver, b: int, c: Complex,
                       spectator: Optional[Poset] = None) -> Tuple[LineQuiver, Complex]:
     """s_b^- at chain level: the value at the source b becomes the cone of the
-    map into the sum of its neighbours."""
+    map into the sum of its neighbours, with the coordinate inclusions as the
+    new arrows into the (now sink) vertex b."""
     if not q.is_source(b):
         raise ValueError(f"{b} is not a source of {q}")
     q2 = q.reflect(b)
@@ -53,179 +49,58 @@ def reflect_minus_obj(q: LineQuiver, b: int, c: Complex,
 
 def _reflect_core(q: LineQuiver, q2: LineQuiver, a: int, c: Complex,
                   spectator: Optional[Poset], plus: bool) -> Complex:
-    field = c.field
-    shape2 = quiver_shape(q2, spectator)
-    nbrs = sorted(q.neighbors(a))
-    signs = {b: (1 if i == 0 else -1) for i, b in enumerate(nbrs)}
+    """The value at a becomes fib(psi: (+)_b X_b -> X_a), parts [(X_b, 0)...,
+    (X_a, -1)], with the coordinate projections as the arrows a -> b (plus),
+    or cone(psi: X_a -> (+)_b X_b), parts [(X_a, 1), (X_b, 0)...], with the
+    coordinate inclusions as the arrows b -> a (minus).  psi is the arrow of
+    the first neighbour b minus the arrow of the second."""
+    values, arrows = split(c, q.poset(), spectator)
+    xa, nbrs = values[a], sorted(q.neighbors(a))
+    xs = [values[b] for b in nbrs]
+    total = reduce(Complex.direct_sum, xs, Complex.zero(xa.shape, c.field))
+    nbr_parts = [(x, 0) for x in xs]
+    signed = [arrows.pop((b, a) if plus else (a, b)) for b in nbrs]
 
-    degs = c.degrees()
-    if not degs:
-        return Complex.zero(shape2, field)
-    lo, hi = min(degs), max(degs)
-    rng = range(lo - 1, hi + 2)
+    def psi_blocks(d):
+        return [f.comp(d) if i == 0 else negated(f.comp(d)) for i, f in enumerate(signed)]
 
-    def dims_at(d, v, r):
-        return c.term(d).dims[vertex_key(v, r, spectator)]
-
-    def new_dims(d, v, r):
-        if v != a:
-            return dims_at(d, v, r)
-        if plus:
-            # fiber: (sum of neighbours)_d + a_{d+1}
-            return sum(dims_at(d, b, r) for b in nbrs) + dims_at(d + 1, a, r)
-        # cone: a_{d-1} + (sum of neighbours)_d
-        return dims_at(d - 1, a, r) + sum(dims_at(d, b, r) for b in nbrs)
-
-    def a_row_dims(d, r):
-        if plus:
-            return [dims_at(d, b, r) for b in nbrs] + [dims_at(d + 1, a, r)]
-        return [dims_at(d - 1, a, r)] + [dims_at(d, b, r) for b in nbrs]
-
-    # terms -----------------------------------------------------------------
-    terms: Dict[int, Rep] = {}
-    spec_covers = [] if spectator is None else spectator.covers
-    for d in rng:
-        dims = {}
-        for v in q.vertices:
-            for r in _spec_elems(spectator):
-                dims[vertex_key(v, r, spectator)] = new_dims(d, v, r)
-        mats = {}
-        for (x, y) in shape2.covers:
-            if spectator is None:
-                vx, rx, vy, ry = x, None, y, None
-            else:
-                (vx, rx), (vy, ry) = x, y
-            if vx != a and vy != a:
-                mats[(x, y)] = c.term(d).mats[(x, y)]
-            elif vx == a and vy == a:
-                # spectator cover at the modified vertex: block diagonal
-                grid = []
-                for i, sb in enumerate(a_row_dims(d, rx)):
-                    row = [None] * len(a_row_dims(d, rx))
-                    row[i] = _a_block_spec_map(c, q, a, nbrs, d, rx, ry, i, spectator, plus)
-                    grid.append(row)
-                mats[(x, y)] = Matrix.block(field, grid, a_row_dims(d, ry), a_row_dims(d, rx))
-            elif plus and vx == a:
-                # new arrow a -> b: projection onto the b coordinate
-                j = nbrs.index(vy)
-                cols = a_row_dims(d, rx)
-                tgt = dims_at(d, vy, rx)
-                grid = [[Matrix.identity(field, tgt) if i == j else None for i in range(len(cols))]]
-                mats[(x, y)] = Matrix.block(field, grid, [tgt], cols)
-            elif (not plus) and vy == a:
-                # new arrow b -> a: inclusion into the b coordinate
-                j = 1 + nbrs.index(vx)
-                rows = a_row_dims(d, ry)
-                src = dims_at(d, vx, ry)
-                grid = [[Matrix.identity(field, src)] if i == j else [None] for i in range(len(rows))]
-                mats[(x, y)] = Matrix.block(field, grid, rows, [src])
-            else:
-                raise RuntimeError("unexpected cover in reflected shape")
-        terms[d] = Rep(shape2, field, dims, mats, validate=False)
-
-    # differentials ----------------------------------------------------------
-    diffs: Dict[int, Dict] = {}
-    for d in rng:
-        phi = {}
-        # each differential read once per degree: an absent one is a new dict of zeros
-        cd, ca = c.diff(d), c.diff(d + 1 if plus else d - 1)
-        for v in q.vertices:
-            for r in _spec_elems(spectator):
-                key = vertex_key(v, r, spectator)
-                if v != a:
-                    phi[key] = cd[key]
-                else:
-                    phi[key] = _a_diff_block(c, a, nbrs, signs, d, r, spectator, plus, cd, ca)
-        diffs[d] = phi
-    return Complex(shape2, field, terms, diffs, validate=False)
-
-
-def _arrow_map(c: Complex, d: int, src, tgt, spectator, r) -> Matrix:
-    return c.term(d).mats[(vertex_key(src, r, spectator), vertex_key(tgt, r, spectator))]
-
-
-def _a_block_spec_map(c: Complex, q: LineQuiver, a: int, nbrs, d: int, rx, ry,
-                      slot: int, spectator, plus: bool) -> Matrix:
-    """Diagonal block of the spectator structure map at the modified vertex."""
     if plus:
-        if slot < len(nbrs):
-            v, dd = nbrs[slot], d
-        else:
-            v, dd = a, d + 1
+        psi = block_map(total, nbr_parts, xa, [(xa, 0)], total.degrees(), lambda d: [psi_blocks(d)])
+        values[a], layout = fiber(psi), nbr_parts + [(xa, -1)]
     else:
-        if slot == 0:
-            v, dd = a, d - 1
-        else:
-            v, dd = nbrs[slot - 1], d
-    return c.term(dd).mats[(vertex_key(v, rx, spectator), vertex_key(v, ry, spectator))]
+        psi = block_map(xa, [(xa, 0)], total, nbr_parts, xa.degrees(),
+                        lambda d: [[blk] for blk in psi_blocks(d)])
+        values[a], layout = cone(psi), [(xa, 1)] + nbr_parts
+    for i, (b, x) in enumerate(zip(nbrs, xs)):
+        def unit(d, x=x, slot=i if plus else i + 1):
+            return [identity_at(x.term(d)) if j == slot else None for j in range(len(layout))]
 
-
-def _a_diff_block(c: Complex, a: int, nbrs, signs, d: int, r, spectator, plus: bool,
-                  cd: Dict, ca: Dict) -> Matrix:
-    """The differential at the modified vertex a, from cd = c.diff(d) and ca,
-    the differential at a of degree d + 1 (plus) or d - 1 (minus)."""
-    field = c.field
-
-    def dims_at(dd, v):
-        return c.term(dd).dims[vertex_key(v, r, spectator)]
-
-    if plus:
-        # fib_d = (+)X_b_d  +  X_a_{d+1};  d(u, v) = (d u, -psi(u) - d v)
-        rows = [dims_at(d - 1, b) for b in nbrs] + [dims_at(d, a)]
-        cols = [dims_at(d, b) for b in nbrs] + [dims_at(d + 1, a)]
-        grid = []
-        for i, b in enumerate(nbrs):
-            row = [None] * (len(nbrs) + 1)
-            row[i] = cd[vertex_key(b, r, spectator)]
-            grid.append(row)
-        last = []
-        for i, b in enumerate(nbrs):
-            m = _arrow_map(c, d, b, a, spectator, r)
-            last.append(m.scale(-signs[b]))
-        last.append(-ca[vertex_key(a, r, spectator)])
-        grid.append(last)
-        return Matrix.block(field, grid, rows, cols)
-    # cone_d = X_a_{d-1} + (+)X_b_d; d(x, u) = (-d x, psi(x) + d u)
-    rows = [dims_at(d - 2, a)] + [dims_at(d - 1, b) for b in nbrs]
-    cols = [dims_at(d - 1, a)] + [dims_at(d, b) for b in nbrs]
-    grid = [[-ca[vertex_key(a, r, spectator)]] + [None] * len(nbrs)]
-    for i, b in enumerate(nbrs):
-        m = _arrow_map(c, d - 1, a, b, spectator, r)
-        row = [m.scale(signs[b])] + [None] * len(nbrs)
-        row[1 + i] = cd[vertex_key(b, r, spectator)]
-        grid.append(row)
-    return Matrix.block(field, grid, rows, cols)
+        if plus:  # the projection onto the b coordinate
+            arrows[(a, b)] = block_map(values[a], layout, x, [(x, 0)], x.degrees(),
+                                       lambda d, u=unit: [u(d)])
+        else:  # the inclusion of the b coordinate
+            arrows[(b, a)] = block_map(x, [(x, 0)], values[a], layout, x.degrees(),
+                                       lambda d, u=unit: [[blk] for blk in u(d)])
+    return glue(q2.poset(), spectator, values, arrows)
 
 
 def reflect_map(q: LineQuiver, a: int, phi: ChainMap,
                 spectator: Optional[Poset] = None, plus: bool = True) -> ChainMap:
-    """The functorial action of s_a^± on a chain map."""
-    q2, src2 = (reflect_plus_obj if plus else reflect_minus_obj)(q, a, phi.src, spectator)
-    _, tgt2 = (reflect_plus_obj if plus else reflect_minus_obj)(q, a, phi.tgt, spectator)
-    nbrs = sorted(q.neighbors(a))
-    field = phi.src.field
+    """The functorial action of s_a^± on a chain map: phi away from a, and at
+    a phi on each part of the fiber (plus) or cone (minus), block diagonally."""
+    reflect = reflect_plus_obj if plus else reflect_minus_obj
+    _, src2 = reflect(q, a, phi.src, spectator)
+    _, tgt2 = reflect(q, a, phi.tgt, spectator)
+    nbr_parts = [(b, 0) for b in sorted(q.neighbors(a))]
+    layout = nbr_parts + [(a, -1)] if plus else [(a, 1)] + nbr_parts
     comps = {}
-    degs = sorted(set(src2.degrees()) | set(tgt2.degrees()))
-    for d in degs:
-        comp = {}
-        for v in q.vertices:
-            for r in _spec_elems(spectator):
-                key = vertex_key(v, r, spectator)
-                if v != a:
-                    comp[key] = phi.comp(d)[key]
-                else:
-                    if plus:
-                        parts = [phi.comp(d)[vertex_key(b, r, spectator)] for b in nbrs] \
-                            + [phi.comp(d + 1)[vertex_key(a, r, spectator)]]
-                    else:
-                        parts = [phi.comp(d - 1)[vertex_key(a, r, spectator)]] \
-                            + [phi.comp(d)[vertex_key(b, r, spectator)] for b in nbrs]
-                    dims_r = [p.nrows for p in parts]
-                    dims_c = [p.ncols for p in parts]
-                    grid = [[parts[i] if i == j else None for j in range(len(parts))]
-                            for i in range(len(parts))]
-                    comp[key] = Matrix.block(field, grid, dims_r, dims_c)
-        comps[d] = comp
+    for d in sorted(set(src2.degrees()) | set(tgt2.degrees())):
+        comps[d] = dict(phi.comp(d))
+        for r in _spec_elems(spectator):
+            blocks = [phi.comp(d - s)[vertex_key(v, r, spectator)] for v, s in layout]
+            grid = [[m if i == j else None for j in range(len(blocks))] for i, m in enumerate(blocks)]
+            comps[d][vertex_key(a, r, spectator)] = Matrix.block(
+                phi.src.field, grid, [m.nrows for m in blocks], [m.ncols for m in blocks])
     return ChainMap(src2, tgt2, comps)
 
 

@@ -57,6 +57,24 @@ def test_criterion_03_reflections():
     _run("reflections")
 
 
+def test_reflections_fail_when_split_loses_an_arrow(monkeypatch):
+    """Negative control: reflections built from a split whose last arrow is
+    zero make reflections FAIL."""
+    from meshrep import functors
+    from meshrep.derived import ChainMap
+    split = functors.split
+
+    def losing(c, base, spec):
+        values, arrows = split(c, base, spec)
+        last = list(arrows)[-1]
+        arrows[last] = ChainMap.zero(arrows[last].src, arrows[last].tgt)
+        return values, arrows
+
+    monkeypatch.setattr(functors, "split", losing)
+    rep = suites.suite_reflections(seed=DEFAULT_SEED, nmax=3)
+    assert not rep.passed and rep.detail == "s- s+ != id", rep.line()
+
+
 def test_criterion_04_fractional_calabi_yau():
     """S^(n+1) = Sigma^(n-1) for n = 2..6; S^2 != Sigma at n = 3."""
     _run("frac-cy")
@@ -97,6 +115,14 @@ def test_criterion_09_tilting_characterization():
     _run("tilting")
 
 
+def test_tilting_fails_when_the_reverse_tilt_is_shifted(monkeypatch):
+    """Negative control: a reverse tilt shifted once makes tilting FAIL."""
+    reverse = suites._reverse_tilt
+    monkeypatch.setattr(suites, "_reverse_tilt", lambda *a: reverse(*a).shift(1))
+    rep = suites.suite_tilting(seed=DEFAULT_SEED, nmax=2)
+    assert not rep.passed and rep.detail == "tilting characterization failed", rep.line()
+
+
 def test_criterion_10_picard_relations():
     """Commutation, (Sigma I)^(n-1) = D^(n+1) for n = 2..4, minimality grid."""
     _run("picard")
@@ -105,6 +131,18 @@ def test_criterion_10_picard_relations():
 def test_criterion_11_mesh_happel():
     """Hom table in {0,1}, support = mesh reachability, mesh triangles."""
     _run("mesh")
+
+
+def test_mesh_fails_when_one_row_is_shifted(monkeypatch):
+    """Negative control: mesh objects shifted once on the row l = 1 make mesh
+    FAIL.  (Translating every object by t is an autoequivalence, which the
+    suite rightly accepts.)"""
+    from meshrep import armesh
+    mesh_object = armesh.mesh_object
+    monkeypatch.setattr(armesh, "mesh_object", lambda q, u, *a: mesh_object(q, u, *a).shift(
+        1 if u[1] == 1 else 0))
+    rep = suites.suite_mesh(seed=DEFAULT_SEED, nmax=2)
+    assert not rep.passed and rep.detail == "Happel comparison failed", rep.line()
 
 
 def test_criterion_12_yoneda_window():

@@ -124,3 +124,43 @@ def test_cli_input_must_match_quiver_and_field(tmp_path):
             assert res.exit_code == 2 and "Usage" in res.output, (stdin, args)
     res = runner.invoke(main, ["reflect", "-q", "A4", "-a", "4", "-i", str(path)])
     assert res.exit_code == 2
+
+
+def test_cli_tilt_sign_is_one_or_minus_one():
+    """--sign picks C^+ or C^-; any other integer is a usage error."""
+    runner = CliRunner()
+    out = {s: runner.invoke(main, ["tilt", "-q", "A3", "--kind", "coxeter", "--sign", s])
+           for s in ("1", "-1", "0", "7", "-2")}
+    assert out["1"].exit_code == out["-1"].exit_code == 0
+    assert out["1"].output != out["-1"].output
+    for s in ("0", "7", "-2"):
+        assert out[s].exit_code == 2 and "Usage" in out[s].output, s
+
+
+@pytest.mark.parametrize("args", [
+    ["ar-quiver", "-q", "A3", "--kmin", "0"],
+    ["ar-quiver", "-q", "A3", "--kmax", "2"],
+    ["ar-quiver", "-q", "A3", "--kmin", "3", "--kmax", "0"],
+    ["ar-quiver", "-q", "A3", "--interval", "2"],
+    ["ar-quiver", "-q", "A3", "--interval", "3,1"],
+    ["ar-quiver", "-q", "A3", "--interval", "1,4"],
+    ["reflect", "-q", "A3", "-a", "3", "--interval", "2"],
+    ["reflect", "-q", "A3", "-a", "3", "--interval", "3,1"],
+    ["reflect", "-q", "A3", "-a", "7", "--interval", "1,1"],
+    ["tensor", "-q", "A3", "--interval", "0,1"],
+    ["tilt", "-q", "A3", "--kind", "apr", "-a", "1"],
+    ["tilt", "-q", "A3", "--kind", "apr", "-a", "9"],
+    ["tilt", "-q", "A3", "--kind", "iter", "--target", "FFF"],
+    ["transport", "-q", "A3", "--interval", "1,1", "--target", "FFF"],
+], ids=lambda a: " ".join(a))
+def test_cli_bad_input_is_a_usage_error(args):
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 2 and "Usage" in res.output, res.output
+
+
+def test_cli_good_windows_and_sinks_still_run():
+    runner = CliRunner()
+    for args in (["ar-quiver", "-q", "A3", "--interval", "1,3", "--kmin", "0", "--kmax", "0"],
+                 ["tilt", "-q", "A3", "--kind", "apr", "-a", "3"],
+                 ["reflect", "-q", "A3", "-a", "3", "--interval", "1,3"]):
+        assert runner.invoke(main, args).exit_code == 0, args
