@@ -20,8 +20,8 @@ from typing import Dict, List, Optional, Set, Tuple
 from .derived import (ChainMap, Complex, DerivedObject, Square, block_map, cone, cone_inclusion,
                       fiber_projection, glue, homology_dims, identity_at, is_bicartesian,
                       linear_dual_complex, negated, normalize, split)
-from .linalg import (FieldSpec, Matrix, column_space_basis, complement_columns,
-                     complement_projection, kernel_basis, rank, solve)
+from .linalg import (FieldSpec, Matrix, complement_columns, complement_projection, kernel_basis,
+                     solve)
 from .rep import Rep
 from .shapes import LineQuiver, MeshWindow, Poset, embed_iQ, mesh_map_f, point_poset
 
@@ -90,10 +90,10 @@ def _quotient_data(m: Complex, incl: ChainMap):
     for d in sorted(set(m.degrees()) | set(incl.src.degrees())):
         proj[d], sec[d], dims[d] = {}, {}, {}
         for e in sh.elements:
-            img = incl.comp(d)[e]
-            if rank(img) != img.ncols:
-                raise RuntimeError("quotient along a non-mono map")
-            proj[d][e], sec[d][e] = complement_projection(column_space_basis(img))
+            try:
+                proj[d][e], sec[d][e] = complement_projection(incl.comp(d)[e])
+            except ValueError:
+                raise RuntimeError("quotient along a non-mono map") from None
             dims[d][e] = sec[d][e].ncols
     return proj, sec, dims
 
@@ -126,9 +126,9 @@ def kernel_complex(psi: ChainMap) -> Tuple[Complex, ChainMap]:
         kbasis[d] = {}
         for e in sh.elements:
             mat = psi.comp(d)[e]
-            if rank(mat) != mat.nrows:
-                raise RuntimeError("kernel along a non-epi map")
             kbasis[d][e] = kernel_basis(mat)
+            if kbasis[d][e].ncols != mat.ncols - mat.nrows:  # the kernel has ncols - rank columns
+                raise RuntimeError("kernel along a non-epi map")
     degs = sorted(d for d in kbasis if any(kbasis[d][e].ncols for e in sh.elements))
     terms = {}
     diffs = {}

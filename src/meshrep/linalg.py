@@ -218,8 +218,13 @@ class Matrix:
         r, k, c = self.nrows, self.ncols, other.ncols
         if k != other.nrows:
             raise ValueError(f"dimension mismatch {r}x{k} @ {other.nrows}x{c}")
-        if k == 0 or r == 0 or c == 0:
+        if k == 0 or r == 0 or c == 0 or self.is_zero() or other.is_zero():
             return Matrix.zeros(self.field, r, c)
+        # the shared identity is known by instance: comparing entries would cost a product's scan
+        if _IDENTITIES.get((self.field.p, r)) is self:
+            return other
+        if _IDENTITIES.get((other.field.p, c)) is other:
+            return self
         if self.field.p is not None and r * k * c > _NUMPY_PRODUCTS:
             return _from_np(self.field, _np(self) @ _np(other))
         a, b = _entries(self), _entries(other)
@@ -529,10 +534,13 @@ def complement_projection(sub: Matrix) -> Tuple[Matrix, Matrix]:
 
     The pivots of rref([sub | I]) are the columns of sub followed by those of
     sec, so its right block is inv([sub | sec]) and proj is that block's rows
-    below sub's."""
+    below sub's.  sub has full column rank iff its columns are the first k
+    pivots; otherwise this raises ValueError."""
     n, k = sub.nrows, sub.ncols
     eye = Matrix.identity(sub.field, n)
     red, pivots = rref(Matrix.hstack(sub.field, [sub, eye], nrows=n))
+    if pivots[:k] != list(range(k)):
+        raise ValueError("complement_projection: the columns are linearly dependent")
     sec = eye.submatrix(range(n), [p - k for p in pivots if p >= k])
     return red.submatrix(range(k, n), range(k, k + n)), sec
 

@@ -143,10 +143,16 @@ class LineQuiver:
     def neighbors(self, v: int) -> List[int]:
         return [w for w in (v - 1, v + 1) if 1 <= w <= self.n]
 
+    def _check_vertex(self, v: int):
+        if v not in self.vertices:
+            raise ValueError(f"vertex {v} is not in 1..{self.n}")
+
     def is_sink(self, v: int) -> bool:
+        self._check_vertex(v)
         return all(t == v for (s, t) in self.arrows() if v in (s, t))
 
     def is_source(self, v: int) -> bool:
+        self._check_vertex(v)
         return all(s == v for (s, t) in self.arrows() if v in (s, t))
 
     def sinks(self) -> List[int]:

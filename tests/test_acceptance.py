@@ -90,6 +90,14 @@ def test_criterion_06_nakayama_is_serre():
     _run("nakayama")
 
 
+def test_nakayama_fails_when_serre_is_shifted_once(monkeypatch):
+    """Negative control: a Serre functor shifted once makes nakayama FAIL."""
+    serre = suites.serre
+    monkeypatch.setattr(suites, "serre", lambda *a, **kw: serre(*a, **kw).shift(1))
+    rep = suites.suite_nakayama(seed=DEFAULT_SEED, nmax=2)
+    assert not rep.passed and rep.detail == "D (x) x != S(x)", rep.line()
+
+
 def test_criterion_07_bimodule_calculus():
     """Unit law, T+- inverses, functor/kernel agreement, bar oracle."""
     _run("kernels")

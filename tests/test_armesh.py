@@ -1,19 +1,20 @@
 import numpy as np
 import pytest
 
+from meshrep import armesh
 from meshrep.armesh import (ARDiagram, build_ar, check_flip_sigma,
-                            check_mesh_relations, mesh_hom_table, mesh_object, stiffen,
-                            suspension_orbits)
+                            check_mesh_relations, kernel_complex, mesh_hom_table, mesh_object,
+                            quotient_complex, stiffen, suspension_orbits)
 from meshrep.bimod import identity_prof
-from meshrep.derived import (Complex, DerivedObject, derived_hom_dim, glue, homology_rep,
-                             normalize, object_complex, split)
+from meshrep.derived import (ChainMap, Complex, DerivedObject, derived_hom_dim, glue,
+                             homology_rep, normalize, object_complex, split)
 from meshrep.hom_chain import hom_class_data, projective_model
-from meshrep.linalg import GF, Matrix, solve
+from meshrep.linalg import GF, Matrix, column_space_basis, complement_projection, rank, solve
 from meshrep.rep import (Interval, Rep, all_intervals, hom_space, interval_module,
                          random_interval_sum)
 from meshrep.functors import serre, transport, transport_embedding
 from meshrep.shapes import (LineQuiver, MeshWindow, all_orientations, default_window,
-                            embed_iQ, mesh_map_s)
+                            embed_iQ, mesh_map_s, point_poset)
 
 F = GF(32003)
 
@@ -75,6 +76,61 @@ def test_build_ar_roundtrip_and_certificates(n):
         assert all(rep.values()), (q, rep)
         back = d.restrict(q, embed_iQ(q))
         assert normalize(q, back) == normalize(q, c)
+
+
+def _three_elimination_quotient_data(m, incl):
+    """The projection data of quotient_complex by three eliminations of the
+    same columns: rank for the mono check, then column_space_basis, then
+    complement_projection; the reference for the one elimination."""
+    proj, sec, dims = {}, {}, {}
+    for d in sorted(set(m.degrees()) | set(incl.src.degrees())):
+        proj[d], sec[d], dims[d] = {}, {}, {}
+        for e in m.shape.elements:
+            img = incl.comp(d)[e]
+            if rank(img) != img.ncols:
+                raise RuntimeError("quotient along a non-mono map")
+            proj[d][e], sec[d][e] = complement_projection(column_space_basis(img))
+            dims[d][e] = sec[d][e].ncols
+    return proj, sec, dims
+
+
+@pytest.mark.parametrize("field", [GF(5), F], ids=str)
+def test_quotient_matches_three_eliminations(field, monkeypatch):
+    """Every quotient that build_ar takes (pushouts and trimming) equals the
+    one from the three-elimination projection data, term, differential and
+    projection, byte for byte."""
+    calls = []
+
+    def recording(m, incl):
+        calls.append((m, incl))
+        return quotient_complex(m, incl)
+
+    monkeypatch.setattr(armesh, "quotient_complex", recording)
+    rng = np.random.default_rng(7)
+    for n in (2, 3):
+        for q in all_orientations(n):
+            x, _ = random_interval_sum(q, field, rng, max_total=3)
+            build_ar(q, Complex.from_rep(x))
+    monkeypatch.undo()
+    assert len(calls) > 50
+    got = [quotient_complex(m, incl) for m, incl in calls]
+    monkeypatch.setattr(armesh, "_quotient_data", _three_elimination_quotient_data)
+    for (m, incl), (qc, pi) in zip(calls, got):
+        ref, ref_pi = quotient_complex(m, incl)
+        assert (qc.terms, qc.diffs, pi.comps) == (ref.terms, ref.diffs, ref_pi.comps)
+
+
+@pytest.mark.parametrize("cols", [[[0], [0]], [[1, 2], [2, 4], [0, 0]], [[1, 0, 1], [0, 1, 1]]])
+def test_quotient_and_kernel_reject_a_non_mono_or_non_epi_map(cols):
+    """A zero column, dependent columns, and more columns than rows make a
+    non-mono map; their transposes are non-epi maps."""
+    pt = point_poset()
+    sub = Matrix.from_rows(F, cols)
+    src, tgt = (Complex.from_rep(Rep(pt, F, {(): k}, {})) for k in (sub.ncols, sub.nrows))
+    with pytest.raises(RuntimeError, match="quotient along a non-mono map"):
+        quotient_complex(tgt, ChainMap(src, tgt, {0: {(): sub}}))
+    with pytest.raises(RuntimeError, match="kernel along a non-epi map"):
+        kernel_complex(ChainMap(tgt, src, {0: {(): sub.transpose()}}))
 
 
 def _splits(m, src: Rep, tgt: Rep, mono: bool) -> bool:

@@ -338,6 +338,38 @@ def test_mapping_cylinder_and_path():
         assert comp2.comp(0)[e] == phi.comp(0)[e]
 
 
+@pytest.mark.parametrize("field", [GF(5), QQ], ids=str)
+def test_compose_is_the_product_in_every_degree(field):
+    """ChainMap.compose stores only the degrees where both factors store a
+    component; in every degree of either source, and one beyond, its
+    component equals the product of the factors' components, also where only
+    one factor stores one, and with an identity or a zero factor."""
+    rng = np.random.default_rng(11)
+    q = LineQuiver.linear(3)
+
+    def cx(*degrees):
+        return Complex(q.poset(), field, {d: random_rep(q, field, rng) for d in degrees}, {},
+                       validate=False)
+
+    def random_map(src, tgt, degrees):
+        return ChainMap(src, tgt, {d: {e: Matrix.random(field, tgt.term(d).dims[e],
+                                                        src.term(d).dims[e], rng)
+                                       for e in q.vertices} for d in degrees})
+
+    a, b, c = cx(-1, 0, 1), cx(0, 1, 2), cx(-1, 1, 2)
+    firsts = [random_map(a, b, [0, 1]), random_map(a, b, [-1, 0, 1, 2]), ChainMap.zero(a, b)]
+    seconds = [random_map(b, c, [1, 2]), random_map(b, c, [0]), ChainMap.zero(b, c)]
+    pairs = [(g, f) for g in seconds for f in firsts]
+    pairs += [(ChainMap.identity(b), f) for f in firsts] + [(g, ChainMap.identity(b)) for g in seconds]
+    for g, f in pairs:
+        h = g.compose(f)
+        assert (h.src, h.tgt) == (f.src, g.tgt)
+        assert set(h.comps) == set(f.comps) & set(g.comps)
+        for d in range(-2, 4):
+            for e in q.vertices:
+                assert h.comp(d)[e] == g.comp(d)[e] @ f.comp(d)[e]
+
+
 def test_minimize_preserves_class():
     q = LineQuiver(3, "FB")
     rng = np.random.default_rng(9)

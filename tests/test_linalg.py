@@ -205,6 +205,17 @@ def _check_against_reference(f, p, a, b, c):
     ma, mb, mc = (Matrix.from_rows(f, x) for x in (a, b, c))
     r, k, l = len(a), len(a[0]), len(b[0])
     assert rows(ma @ mb) == _ref_matmul(a, b, p)
+    # the shared identity and zero factors on either side, and built ones
+    eye_r, eye_k = ([[int(i == j) for j in range(n)] for i in range(n)] for n in (r, k))
+    zero_lr, zero_kl = [[0] * r for _ in range(l)], [[0] * l for _ in range(k)]
+    for x, y, mx, my in ((eye_r, a, Matrix.identity(f, r), ma),
+                         (a, eye_k, ma, Matrix.identity(f, k)),
+                         (eye_r, a, Matrix.from_rows(f, eye_r), ma),
+                         (zero_lr, a, Matrix.zeros(f, l, r), ma),
+                         (a, zero_kl, ma, Matrix.zeros(f, k, l)),
+                         (zero_lr, a, Matrix.from_rows(f, zero_lr), ma),
+                         (a, zero_kl, ma, Matrix.from_rows(f, zero_kl))):
+        assert rows(mx @ my) == _ref_matmul(x, y, p)
     assert rows(ma + mc) == [[_red(x + y, p) for x, y in zip(u, v)] for u, v in zip(a, c)]
     assert rows(ma - mc) == [[_red(x - y, p) for x, y in zip(u, v)] for u, v in zip(a, c)]
     assert rows(-ma) == [[_red(-x, p) for x in u] for u in a]
@@ -277,6 +288,33 @@ def test_complement_columns_extend_the_span(nr, ns, nc, fidx, data):
     proj, sec = complement_projection(sub)
     assert (proj @ sub).is_zero()
     assert proj @ sec == Matrix.identity(field, nr - sub.ncols)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(32003)], ids=str)
+def test_complement_projection_rejects_dependent_columns(field):
+    """complement_projection reads full column rank from its one elimination:
+    dependent columns, a zero column, more columns than rows, and columns
+    dependent only mod 5 raise ValueError; independent ones give the split."""
+    dependent = [[[1, 2, 3], [0, 1, 1], [2, 0, 2], [1, 1, 2]],  # column 3 = column 1 + column 2
+                 [[1, 0], [0, 0], [2, 0]],
+                 [[1, 0, 1], [0, 1, 1]]]
+    for rows in dependent:
+        with pytest.raises(ValueError):
+            complement_projection(Matrix.from_rows(field, rows))
+    with pytest.raises(ValueError):
+        complement_projection(Matrix.zeros(field, 0, 1))
+    mod5 = Matrix.from_rows(field, [[1, 1], [2, 7], [0, 0]])  # determinant 5 on the top rows
+    independent = [Matrix.from_rows(field, [[1, 2], [0, 1], [2, 0], [1, 1]])]
+    if field == GF(5):
+        with pytest.raises(ValueError):
+            complement_projection(mod5)
+    else:
+        independent.append(mod5)
+    for sub in independent:
+        proj, sec = complement_projection(sub)
+        assert (proj @ sub).is_zero()
+        assert proj @ sec == Matrix.identity(field, sub.nrows - sub.ncols)
+        assert rank(Matrix.hstack(field, [sub, sec])) == sub.nrows
 
 
 @pytest.mark.parametrize("field", [GF(5), QQ])

@@ -4,6 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from meshrep import shapes as sh
+from meshrep.derived import Complex
+from meshrep.functors import reflect_minus_obj, reflect_plus_obj
+from meshrep.linalg import GF
+from meshrep.rep import interval_module
 from meshrep.shapes import (
     LineQuiver, MeshWindow, SymmetryElem, admissible_sequence, all_orientations,
     boundary_between, cosieve_of_diagonal, embed_iQ, group_generator_check,
@@ -24,6 +28,19 @@ def test_reflect_single_arrow():
 def test_reflect_rejects_interior():
     with pytest.raises(ValueError):
         LineQuiver.linear(3).reflect(2)
+
+
+@pytest.mark.parametrize("v", [0, 4, 7, -1])
+def test_vertices_outside_the_quiver_are_rejected(v):
+    """A vertex outside 1..n is neither a sink nor a source: asking raises
+    ValueError, and so do reflecting at it and the reflection functors."""
+    q = LineQuiver.linear(3)
+    c = Complex.from_rep(interval_module(q, 1, 1, GF(5)))
+    for call in (q.is_sink, q.is_source, q.reflect, lambda a: reflect_plus_obj(q, a, c),
+                 lambda a: reflect_minus_obj(q, a, c)):
+        with pytest.raises(ValueError, match=f"vertex {v} is not in 1..3"):
+            call(v)
+    assert q.sinks() == [3] and q.sources() == [1]
 
 
 def test_admissible_sequences():
