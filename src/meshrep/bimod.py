@@ -71,6 +71,14 @@ class Bimodule:
         return Bimodule(self.left, self.right, self.complex.shift(m))
 
 
+def check_middle(right: ShapeLike, left: ShapeLike):
+    """Raise unless a tensor over right and left is defined: the two shapes
+    must have the same elements and the same covers."""
+    a, b = as_poset(right), as_poset(left)
+    if a.elements != b.elements or set(a.covers) != set(b.covers):
+        raise ValueError("middle shapes do not match")
+
+
 def bimodule_shape(left: ShapeLike, right: ShapeLike) -> Poset:
     return as_poset(left).product(as_poset(right).opposite())
 
@@ -188,8 +196,7 @@ def cancel_tensor(m: Bimodule, n: Bimodule, method: str = "auto") -> Bimodule:
     treelike), "bar" (normalized bar resolution of the incidence algebra;
     always valid, used as the independence oracle), or "auto".
     """
-    if as_poset(m.right).elements != as_poset(n.left).elements:
-        raise ValueError("middle shapes do not match")
+    check_middle(m.right, n.left)
     mid = as_poset(n.left)
     if method == "auto":
         method = "hereditary" if _treelike(mid) else "bar"

@@ -106,10 +106,7 @@ class Complex:
 
     def direct_sum(self, other: "Complex") -> "Complex":
         """Termwise sum; a differential is stored where a summand stores one."""
-        return block_complex([(self, 0), (other, 0)],
-                             sorted(set(self.degrees()) | set(other.degrees())),
-                             lambda d: [[self.diff(d), None], [None, other.diff(d)]]
-                             if d in self.diffs or d in other.diffs else None)
+        return shifted_sum([(self, 0), (other, 0)])
 
 
 @dataclass
@@ -196,6 +193,20 @@ def block_complex(parts: List[Part], degs: List[int],
             diffs[d] = _blocks(field, shape.elements, grid, _part_dims(parts, d - 1),
                                _part_dims(parts, d))
     return Complex(shape, field, terms, diffs, validate=False)
+
+
+def shifted_sum(parts: List[Part]) -> Complex:
+    """The termwise sum of the parts (c, s), each c shifted by s as
+    Complex.shift does: its differentials pick up (-1)^s.  A differential is
+    stored where a part stores one."""
+    def diff(d: int) -> Optional[Grid]:
+        blocks = [c.diffs.get(d - s) for c, s in parts]
+        if not any(blocks):
+            return None
+        signed = [b if b is None or s % 2 == 0 else negated(b) for b, (_, s) in zip(blocks, parts)]
+        return [[signed[i] if k == i else None for k in range(len(parts))]
+                for i in range(len(parts))]
+    return block_complex(parts, sorted({d + s for c, s in parts for d in c.degrees()}), diff)
 
 
 def block_map(src: Complex, src_parts: List[Part], tgt: Complex, tgt_parts: List[Part],

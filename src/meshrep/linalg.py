@@ -457,6 +457,8 @@ def solve(m: Matrix, b: Matrix) -> Optional[Matrix]:
         raise ValueError("field mismatch")
     if m.nrows != b.nrows:
         raise ValueError("dimension mismatch in solve")
+    if not m.nrows:
+        return Matrix.zeros(m.field, m.ncols, b.ncols)  # no equations: zero solves them
     n, w = m.ncols, m.ncols + b.ncols
     red, pivots = rref(Matrix.hstack(m.field, [m, b], nrows=m.nrows))
     if pivots and pivots[-1] >= n:

@@ -193,6 +193,38 @@ def projective(q: LineQuiver, v: int, field: FieldSpec) -> Rep:
     return interval_module(q, min(up), max(up), field)
 
 
+def interval_presentation(q: LineQuiver, itv: Interval
+                          ) -> Tuple[List[int], List[Tuple[int, List[Tuple[int, int]]]]]:
+    """The minimal projective resolution 0 -> P1 -> P0 -> M[i,j] -> 0 as
+    (tops, relations).  P0 is the sum of the P_v over the tops v of [i,j],
+    the vertices with no arrow into them from inside [i,j].  P1 has one
+    relation (w, [(v, sign), ...]) per summand P_w, mapped by sign times the
+    inclusion P_w ⊂ P_v into each listed top v:
+    - the valley w between two consecutive tops v < v', the sink of [v, v'],
+      with +1 into v and -1 into v';
+    - i - 1 if the arrow i -> i-1 exists, into the first top;
+    - j + 1 if the arrow j -> j+1 exists, into the last top.
+    These P_w are the parts of the supports of P0 that overlap or leave
+    [i,j], so at every vertex dim P0 - dim P1 = dim M[i,j]."""
+    i, j = itv.i, itv.j
+
+    def points_into(u: int, v: int) -> bool:
+        """Whether q has the arrow u -> v (u, v adjacent)."""
+        return q.orientation[min(u, v) - 1] == ("F" if u < v else "B")
+
+    inside = range(i, j + 1)
+    tops = [v for v in inside if not any(points_into(u, v) for u in (v - 1, v + 1) if u in inside)]
+    relations: List[Tuple[int, List[Tuple[int, int]]]] = []
+    for v, v2 in zip(tops, tops[1:]):
+        valley = next(w for w in range(v + 1, v2) if not points_into(w, w + 1))
+        relations.append((valley, [(v, 1), (v2, -1)]))
+    if i > 1 and points_into(i, i - 1):
+        relations.append((i - 1, [(tops[0], 1)]))
+    if j < q.n and points_into(j, j + 1):
+        relations.append((j + 1, [(tops[-1], 1)]))
+    return tops, relations
+
+
 def injective(q: LineQuiver, v: int, field: FieldSpec) -> Rep:
     """I_v: supported on the vertices from which v is reachable."""
     p = q.poset()

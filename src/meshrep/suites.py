@@ -73,7 +73,8 @@ def suite_census(seed: int = DEFAULT_SEED, nmax: int = 6, samples: int = 200) ->
                                   f"n={n} {q} field={field} expected {multiset} got {got}")
                 checked += 1
     return Report("census", True,
-                  f"n(n+1)/2 classes for n<=6 and decompose recovered {checked} random sums over Q and F5")
+                  f"n(n+1)/2 classes for n<={nmax} and decompose recovered {checked} random sums "
+                  "over Q and F5")
 
 
 # -- criterion 2 -------------------------------------------------------------
@@ -101,7 +102,8 @@ def suite_ar(seed: int = DEFAULT_SEED, nmax: int = 5, per_orientation: int = 2) 
                     return Report("ar", False, "Sigma = f^* failed", f"{q}")
                 builds += 1
     return Report("ar", True,
-                  f"boundary, bicartesian squares, round trip, Sigma=f^* on {builds} diagrams, n<=5")
+                  f"boundary, bicartesian squares, round trip, Sigma=f^* on {builds} diagrams, "
+                  f"n<={nmax}")
 
 
 # -- criterion 3 -------------------------------------------------------------
@@ -152,7 +154,8 @@ def suite_reflections(seed: int = DEFAULT_SEED, nmax: int = 5) -> Report:
                                       "Coxeter depends on the admissible sequence",
                                       f"{q} {itv}")
     return Report("reflections", True,
-                  f"inverse laws, commuting sinks, sequence independence on {checked} indecomposables, n<=5")
+                  f"inverse laws, commuting sinks, sequence independence on {checked} "
+                  f"indecomposables, n<={nmax}")
 
 
 def _some_admissible_sequences(q: LineQuiver, want: int) -> List[List[int]]:
@@ -185,9 +188,10 @@ def suite_frac_cy(seed: int = DEFAULT_SEED, nmax: int = 6) -> Report:
             witness = [itv for itv in all_intervals(3) if table.power(itv, 2) != (1, itv)]
             if not witness:
                 return Report("frac-cy", False, "S^2 = Sigma at n=3 (should not hold)")
+    at_three = "; S^2 != Sigma witnessed at n=3" if nmax >= 3 else ""
     return Report("frac-cy", True,
-                  "S^(n+1) = Sigma^(n-1) on all indecomposables, all orientations, n=2..6; "
-                  "S^2 != Sigma witnessed at n=3")
+                  f"S^(n+1) = Sigma^(n-1) on all indecomposables, all orientations, "
+                  f"n=2..{nmax}{at_three}")
 
 
 # -- criterion 5 -------------------------------------------------------------
@@ -214,7 +218,7 @@ def suite_serre_duality(seed: int = DEFAULT_SEED, nmax: int = 5) -> Report:
                                       f"{q} x=S^{sx}{ix} y=S^{sy}{iy}: {lhs} vs {rhs}")
                     pairs += 1
     return Report("serre-duality", True,
-                  f"hom(x,y) = hom(y,Sx) on {pairs} pairs of shifted intervals, n<=5")
+                  f"hom(x,y) = hom(y,Sx) on {pairs} pairs of shifted intervals, n<={nmax}")
 
 
 # -- criterion 6 -------------------------------------------------------------
@@ -239,7 +243,7 @@ def suite_nakayama(seed: int = DEFAULT_SEED, nmax: int = 4) -> Report:
                 return Report("nakayama", False, "Sigma(C+) != D", str(q))
     return Report("nakayama", True,
                   f"D_Q (x) x = S(x) on {checked} indecomposables and Sigma(C_Q+) = D_Q, "
-                  "all orientations, n<=4")
+                  f"all orientations, n<={nmax}")
 
 
 # -- criterion 7 -------------------------------------------------------------
@@ -312,7 +316,7 @@ def suite_kernels(seed: int = DEFAULT_SEED, nmax: int = 4, oracle_pairs: int = 1
             return Report("kernels", False, "hereditary tensor disagrees with bar oracle",
                           f"pair {i}, {q}")
     return Report("kernels", True,
-                  f"unit/inverse laws, {agreements} functor-kernel agreements (n<=4), "
+                  f"unit/inverse laws, {agreements} functor-kernel agreements (n<={nmax}), "
                   f"bar oracle on {oracle_pairs} random pairs")
 
 
@@ -363,7 +367,8 @@ def suite_tilting(seed: int = DEFAULT_SEED, nmax: int = 4) -> Report:
                               f"{q}->{q2}: {rep}")
             count += 1
     return Report("tilting", True,
-                  f"perfect/rigid/generator/invertible for {count} universal tilting bimodules, n<=4")
+                  f"perfect/rigid/generator/invertible for {count} universal tilting bimodules, "
+                  f"n<={nmax}")
 
 
 def _reverse_tilt(q: LineQuiver, q2: LineQuiver, field: FieldSpec) -> Bimodule:
@@ -386,9 +391,10 @@ def suite_picard(seed: int = DEFAULT_SEED, nmax: int = 4) -> Report:
         rep = picard_check(n, field)
         if not rep.all_pass():
             return Report("picard", False, f"Picard relations failed at n={n}", str(rep))
+    at_three = " n=3 negative control," if nmax >= 3 else ""
     return Report("picard", True,
-                  "commutation, (Sigma I)^(n-1) = D^(n+1), n=3 negative control, and "
-                  "relation minimality on the exponent grid, n=2..4")
+                  f"commutation, (Sigma I)^(n-1) = D^(n+1),{at_three} and "
+                  f"relation minimality on the exponent grid, n=2..{nmax}")
 
 
 # -- criterion 11 ------------------------------------------------------------
@@ -404,7 +410,7 @@ def suite_mesh(seed: int = DEFAULT_SEED, nmax: int = 5) -> Report:
                 return Report("mesh", False, "Happel comparison failed", f"{q}: {rep}")
     return Report("mesh", True,
                   "hom entries in {0,1}, support = interior mesh reachability, "
-                  "mesh triangles distinguished, n<=5")
+                  f"mesh triangles distinguished, n<={nmax}")
 
 
 # -- criterion 12 ------------------------------------------------------------
@@ -424,7 +430,7 @@ def suite_yoneda(seed: int = DEFAULT_SEED, nmax: int = 4) -> Report:
             return Report("yoneda", False, f"U_n |> S != (s x id)^* U_n at n={n}")
     return Report("yoneda", True,
                   "restriction = I_Q, boundary entries vanish, Serre self-duality of "
-                  "the dimension table, n<=4")
+                  f"the dimension table, n<={nmax}")
 
 
 # -- criterion 13 ------------------------------------------------------------

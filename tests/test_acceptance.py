@@ -85,6 +85,21 @@ def test_criterion_05_serre_duality():
     _run("serre-duality")
 
 
+def test_serre_duality_fails_when_serre_is_shifted_once_more(monkeypatch):
+    """Negative control: a SerreTable whose every image is shifted once more
+    makes serre-duality FAIL."""
+    table = suites.SerreTable
+
+    class Shifted(table):
+        def __init__(self, q, field):
+            super().__init__(q, field)
+            self.images = {itv: (delta + 1, img) for itv, (delta, img) in self.images.items()}
+
+    monkeypatch.setattr(suites, "SerreTable", Shifted)
+    rep = suites.suite_serre_duality(seed=DEFAULT_SEED, nmax=3)
+    assert not rep.passed and rep.detail == "hom(x,y) != hom(y,Sx)", rep.line()
+
+
 def test_criterion_06_nakayama_is_serre():
     """D_Q (x) x = S(x) and Sigma(C_Q+) = D_Q, all orientations, n <= 4."""
     _run("nakayama")
@@ -165,3 +180,26 @@ def test_criterion_13_higher_triangulation():
 
 def test_extra_d4_square_invertibility():
     _run("d4-square")
+
+
+@pytest.mark.parametrize("name,kwargs,size", [
+    ("census", {"nmax": 2, "samples": 2}, "for n<=2 and"),
+    ("ar", {"nmax": 2}, "n<=2"),
+    ("reflections", {"nmax": 2}, "n<=2"),
+    ("frac-cy", {"nmax": 3}, "n=2..3; S^2 != Sigma witnessed at n=3"),
+    ("frac-cy", {"nmax": 2}, "all orientations, n=2..2"),
+    ("serre-duality", {"nmax": 3}, "n<=3"),
+    ("nakayama", {"nmax": 2}, "n<=2"),
+    ("kernels", {"nmax": 2, "oracle_pairs": 1}, "(n<=2)"),
+    ("tilting", {"nmax": 2}, "n<=2"),
+    ("picard", {"nmax": 2}, "D^(n+1), and relation minimality on the exponent grid, n=2..2"),
+    ("picard", {"nmax": 3}, "n=3 negative control, and relation minimality on the exponent grid, n=2..3"),
+    ("mesh", {"nmax": 2}, "n<=2"),
+    ("yoneda", {"nmax": 2}, "n<=2"),
+])
+def test_report_lines_state_the_size_they_ran(name, kwargs, size):
+    """A line names the nmax the suite ran, not its default, and claims the
+    n = 3 witnesses only when it reached n = 3."""
+    rep = ALL_SUITES[name](seed=DEFAULT_SEED, **kwargs)
+    assert rep.passed and size in rep.detail, rep.line()
+    assert kwargs["nmax"] >= 3 or "n=3" not in rep.detail, rep.line()

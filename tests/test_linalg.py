@@ -50,6 +50,20 @@ def test_solve_cases():
     assert x[0, 0] * 2 == 1
 
 
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+@pytest.mark.parametrize("n,k", [(0, 0), (0, 2), (1, 0), (3, 1), (2, 4)])
+def test_solve_without_equations_is_the_elimination_answer(field, n, k):
+    """A system with no rows is answered by the shared zero, the matrix that
+    the elimination of [m | b] and its zero padding give."""
+    m, b = Matrix.zeros(field, 0, n), Matrix.zeros(field, 0, k)
+    red, pivots = rref(Matrix.hstack(field, [m, b], nrows=0))
+    padded = Matrix.vstack(field, [red, Matrix.zeros(field, 1, n + k)])
+    eliminated = padded.submatrix([0] * n, range(n, n + k))
+    assert pivots == []
+    assert solve(m, b) == eliminated
+    assert solve(m, b) is Matrix.zeros(field, n, k)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 2), st.data())
 def test_rank_nullity_and_solve(nr, nc, fidx, data):

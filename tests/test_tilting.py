@@ -4,9 +4,10 @@ import pytest
 from meshrep.bimod import (bimodules_quasi_isomorphic, cancel_tensor,
                            duality_module, from_left_complex, identity_prof,
                            to_left_complex)
-from meshrep.derived import Complex, DerivedObject, normalize
-from meshrep.linalg import GF
-from meshrep.rep import all_intervals, interval_module
+from meshrep.derived import ChainMap, Complex, DerivedObject, cone, normalize
+from meshrep.linalg import GF, QQ
+from meshrep.rep import (Interval, all_intervals, hom_space, interval_module,
+                         interval_presentation, random_interval_sum)
 from meshrep.functors import (coxeter_plus, reflect_plus, serre,
                               reflect_plus_obj, transport)
 from meshrep.shapes import LineQuiver, MeshWindow, all_orientations, embed_iQ
@@ -62,6 +63,88 @@ def test_apr_reproduces_reflection():
                 via_bimod = normalize(q2, apply_bimodule(tp, q, x))
                 _, direct = reflect_plus(q, a, x)
                 assert via_bimod == normalize(q2, direct)
+
+
+def _kernels(q, field):
+    """(name, kernel, quiver of its inputs): I, D, C+, C-, the APR tilts T+
+    and T- at every sink, and an iterated tilt."""
+    q3 = all_orientations(q.n)[-1]
+    out = [("I", identity_prof(q, field), q), ("D", duality_module(q, field), q),
+           ("C+", coxeter_bimodule(q, 1, field), q), ("C-", coxeter_bimodule(q, -1, field), q),
+           ("iter_tilt", iter_tilt(q3, q, field), q)]
+    for a in q.sinks():
+        tp, tm = apr_tilt(q, a, field)
+        out += [(f"T+{a}", tp, q), (f"T-{a}", tm, q.reflect(a))]
+    return out
+
+
+def _with_differential(q, field, rng):
+    """The cone of a nonzero map between two random interval sums: a complex
+    that stores a nonzero differential."""
+    while True:
+        x, _ = random_interval_sum(q, field, rng, max_total=2)
+        y, _ = random_interval_sum(q, field, rng, max_total=2)
+        basis = hom_space(x, y)
+        if basis:
+            return cone(ChainMap(Complex.from_rep(x), Complex.from_rep(y), {0: basis[0]}))
+
+
+@pytest.mark.parametrize("field", [GF(5), F, QQ], ids=str)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_apply_bimodule_matches_the_bimodule_resolution(field, n):
+    """apply_bimodule tensors through the minimal projective resolution of
+    its input; cancel_tensor through the two-term bimodule resolution of I_Q.
+    Both give the same canonical form on every interval, a shifted random
+    sum, the zero complex and a complex with a nonzero differential."""
+    rng = np.random.default_rng(n)
+    for q in all_orientations(n):
+        for name, t, src in _kernels(q, field):
+            xs = [Complex.from_rep(interval_module(src, itv.i, itv.j, field))
+                  for itv in all_intervals(n)]
+            xs.append(Complex.from_rep(random_interval_sum(src, field, rng)[0]).shift(-1))
+            xs.append(Complex.zero(src.poset(), field))
+            xs.append(_with_differential(src, field, rng))
+            assert any(not m.is_zero() for phi in xs[-1].diffs.values() for m in phi.values())
+            for x in xs:
+                reference = to_left_complex(cancel_tensor(t, from_left_complex(src, x)))
+                assert normalize(t.left, apply_bimodule(t, src, x)) == \
+                    normalize(t.left, reference), (name, q, src, x)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_interval_presentation_has_the_dimensions_of_the_interval(n):
+    """At every vertex, dim P0 - dim P1 = dim M[i,j]; every relation maps
+    into a top above it, and two tops only from their valley."""
+    for q in all_orientations(n):
+        p = q.poset()
+        for itv in all_intervals(n):
+            tops, relations = interval_presentation(q, itv)
+            for u in q.vertices:
+                p0 = sum(p.leq(v, u) for v in tops)
+                p1 = sum(p.leq(w, u) for w, _ in relations)
+                assert p0 - p1 == int(itv.i <= u <= itv.j), (q, itv, u)
+            for w, into in relations:
+                assert all(p.leq(v, w) and v in tops for v, _ in into)
+                assert sorted(sign for _, sign in into) in ([1], [-1, 1])
+
+
+def test_interval_presentation_examples():
+    q = LineQuiver(4, "FBF")  # 1 -> 2 <- 3 -> 4
+    assert interval_presentation(q, Interval(1, 4)) == ([1, 3], [(2, [(1, 1), (3, -1)])])
+    assert interval_presentation(q, Interval(3, 3)) == ([3], [(2, [(3, 1)]), (4, [(3, 1)])])
+    assert interval_presentation(q, Interval(2, 2)) == ([2], [])
+
+
+def test_tensor_rejects_a_middle_shape_of_another_orientation():
+    """D over A3[FB] cannot be tensored with a module over A3[FF]: the
+    middle shapes have the same elements but other covers."""
+    qfb, qff = LineQuiver(3, "FB"), LineQuiver(3, "FF")
+    dq = duality_module(qfb, F)
+    x = Complex.from_rep(interval_module(qff, 1, 3, F))
+    with pytest.raises(ValueError, match="middle shapes do not match"):
+        apply_bimodule(dq, qff, x)
+    with pytest.raises(ValueError, match="middle shapes do not match"):
+        cancel_tensor(dq, from_left_complex(qff, x))
 
 
 def test_iter_tilt_identity():
