@@ -422,6 +422,13 @@ class ARDiagram:
         return str(c)
 
 
+def ar_window(n: int, emb: Dict[int, Vertex]) -> MeshWindow:
+    """The default window of build_ar: one column of margin on the left of
+    the embedded zigzag, a fundamental domain on the right."""
+    cols = [emb[l][0] for l in range(1, n + 1)]
+    return MeshWindow(n, min(cols) - 1, max(cols) + n + 2)
+
+
 def build_ar(q: LineQuiver, c: Complex, window: Optional[MeshWindow] = None,
              spectator: Optional[Poset] = None,
              embedding: Optional[Dict[int, Vertex]] = None) -> ARDiagram:
@@ -429,11 +436,7 @@ def build_ar(q: LineQuiver, c: Complex, window: Optional[MeshWindow] = None,
     emb = dict(embedding) if embedding is not None else embed_iQ(q)
     n = q.n
     cols = {l: emb[l][0] for l in q.vertices}
-    if window is None:
-        # one column of margin on the left, a fundamental domain on the right
-        win = MeshWindow(n, min(cols.values()) - 1, max(cols.values()) + n + 2)
-    else:
-        win = window
+    win = ar_window(n, emb) if window is None else window
     if any(emb[v] not in win for v in q.vertices):
         raise ValueError("window too small for the embedding")
     fieldd = c.field

@@ -537,9 +537,12 @@ def complement_projection(sub: Matrix) -> Tuple[Matrix, Matrix]:
     The pivots of rref([sub | I]) are the columns of sub followed by those of
     sec, so its right block is inv([sub | sec]) and proj is that block's rows
     below sub's.  sub has full column rank iff its columns are the first k
-    pivots; otherwise this raises ValueError."""
+    pivots; otherwise this raises ValueError.  With no columns, rref([I]) is
+    I and every unit vector is a pivot, so both are the shared identity."""
     n, k = sub.nrows, sub.ncols
     eye = Matrix.identity(sub.field, n)
+    if not k:
+        return eye, eye
     red, pivots = rref(Matrix.hstack(sub.field, [sub, eye], nrows=n))
     if pivots[:k] != list(range(k)):
         raise ValueError("complement_projection: the columns are linearly dependent")
@@ -554,6 +557,8 @@ def column_space_basis(m: Matrix) -> Matrix:
 
 
 def is_invertible(m: Matrix) -> bool:
+    if m.nrows == m.ncols == 1:
+        return m[0, 0] != 0  # a 1x1 matrix is invertible iff its one entry is
     return m.nrows == m.ncols and rank(m) == m.nrows
 
 

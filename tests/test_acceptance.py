@@ -173,6 +173,28 @@ def test_criterion_12_yoneda_window():
     _run("yoneda")
 
 
+@pytest.mark.parametrize("on_column,detail", [
+    (True, "(i x i^op)-restriction != I at n=1"),
+    (False, "U_n |> S != (s x id)^* U_n at n=1"),
+])
+def test_yoneda_fails_when_one_entry_is_shifted(monkeypatch, on_column, detail):
+    """Negative control: one nonzero entry of the Yoneda table shifted once
+    makes yoneda FAIL, through the restriction check when the entry lies on
+    the embedded column and through the Serre twist otherwise."""
+    from meshrep.shapes import embed_iQ
+    table_of = suites.yoneda_window
+
+    def shifted(q, window):
+        table = table_of(q, window)
+        column = set(embed_iQ(q).values())
+        key = next(k for k in sorted(table) if table[k] and (set(k) <= column) == on_column)
+        return {**table, key: {d + 1: m for d, m in table[key].items()}}
+
+    monkeypatch.setattr(suites, "yoneda_window", shifted)
+    rep = suites.suite_yoneda(seed=DEFAULT_SEED, nmax=2)
+    assert not rep.passed and rep.detail == detail, rep.line()
+
+
 def test_criterion_13_higher_triangulation():
     """STC0-STC3 on 100 random bases per n in {2,3,4} plus the sign control."""
     _run("stc")
@@ -180,6 +202,15 @@ def test_criterion_13_higher_triangulation():
 
 def test_extra_d4_square_invertibility():
     _run("d4-square")
+
+
+def test_d4_square_fails_when_the_inverse_is_shifted(monkeypatch):
+    """Negative control: the square<->D4 inverse shifted once makes
+    d4-square FAIL."""
+    inverse = suites.square_d4_inverse
+    monkeypatch.setattr(suites, "square_d4_inverse", lambda field: inverse(field).shift(1))
+    rep = suites.suite_d4_square(seed=DEFAULT_SEED)
+    assert not rep.passed and rep.detail == "square<->D4 bimodule not invertible", rep.line()
 
 
 @pytest.mark.parametrize("name,kwargs,size", [

@@ -3,12 +3,12 @@ import pytest
 
 from meshrep import highertri
 from meshrep.derived import ChainMap, Complex, cone, normalize
-from meshrep.highertri import (NTriangle, base, canonical_phi, extend_morphism, fill_base,
-                               find_triangle_morphism, flip, flip_without_sign,
-                               homology_matrix, inverse_image, is_distinguished,
-                               phi_is_canonical, standard_triangle, translate)
+from meshrep.highertri import (HomologyTriangle, NTriangle, base, canonical_phi, extend_morphism,
+                               fill_base, find_triangle_morphism, flip, flip_without_sign,
+                               homology_matrix, homology_record, inverse_image, is_distinguished,
+                               phi_is_canonical, standard_homology, standard_triangle, translate)
 from meshrep.linalg import GF, QQ, Matrix, inverse, is_invertible
-from meshrep.rep import Rep, interval_module, random_interval_sum
+from meshrep.rep import Rep, all_intervals, hom_space, interval_module, random_interval_sum
 from meshrep.shapes import LineQuiver, MeshWindow, default_window, mesh_map_f, mesh_map_f_inv
 
 F = GF(32003)
@@ -254,6 +254,87 @@ def test_is_distinguished_matches_rebuild_route(field):
         if t.boundary_vanishes() and t.phi_invertible() and phi_is_canonical(t)[0]:
             seen.add(got)
     assert seen == {True, False}
+
+
+def moved(rec, s):
+    """A homology record with every degree moved up by s."""
+    return tuple({key[:-1] + (key[-1] + s,): x for key, x in part.items()} for part in rec)
+
+
+@pytest.mark.parametrize("field", [F, GF(5), QQ], ids=str)
+def test_standard_triangle_commutes_with_the_shift_on_homology(field):
+    """The homology record of the standard triangle of Sigma^s M is that of M
+    with every degree moved up by s, with no sign, for every interval M of
+    linear A_n, n <= 4."""
+    for n in (1, 2, 3, 4):
+        q = LineQuiver.linear(n)
+        for itv in all_intervals(n):
+            x = Complex.from_rep(interval_module(q, itv.i, itv.j, field))
+            rec = homology_record(standard_triangle(q, x))
+            assert rec[0] and rec[1]
+            for s in (-1, 1, 2):
+                assert homology_record(standard_triangle(q, x.shift(s))) == moved(rec, s), (itv, s)
+
+
+def with_differential(q, field, rng):
+    """The cone of a nonzero map between two random interval sums: a complex
+    that stores a nonzero differential and has homology in two degrees."""
+    while True:
+        x, _ = random_interval_sum(q, field, rng, max_total=3)
+        y, _ = random_interval_sum(q, field, rng, max_total=3)
+        basis = hom_space(x, y)
+        if basis:
+            c = cone(ChainMap(Complex.from_rep(x), Complex.from_rep(y), {0: basis[0]}))
+            if c.diffs and len({s for s, _, _ in normalize(q, c).summands}) == 2:
+                return c
+
+
+def summed_bases(q, field):
+    """Bases of the summed-record test: an interval twice, a simple twice
+    beside another simple, three shifts at once, a complex with a
+    differential and homology in two degrees, and the zero base."""
+    def m(i, j, s=0):
+        return Complex.from_rep(interval_module(q, i, j, field)).shift(s)
+    n = q.n
+    return {"twice": m(1, n).direct_sum(m(1, n)),
+            "twice beside another": m(1, 1).direct_sum(m(1, 1)).direct_sum(m(2, 2)),
+            "three shifts": m(1, 1, -1).direct_sum(m(2, 2)).direct_sum(m(1, n, 2)),
+            "differential": with_differential(q, field, np.random.default_rng(n)),
+            "zero": Complex.zero(q.poset(), field)}
+
+
+@pytest.mark.parametrize("field", [F, GF(5), QQ], ids=str)
+@pytest.mark.parametrize("q", [LineQuiver.linear(3), LineQuiver(3, "FB")], ids=str)
+def test_summed_record_is_the_standard_triangle_on_homology(field, q):
+    """standard_homology(x), summed from interval records, has the vertices,
+    dimensions, covers and phi keys of the homology of standard_triangle(q, x),
+    and is isomorphic to it compatibly with the arrows and phi; a zero base
+    gives zero dimensions on the whole interior.  Changing one cover whose
+    homology map is zero into a nonzero map breaks the isomorphism, so such
+    a cover is an equation of the comparison."""
+    zero_covers = 0
+    for name, x in summed_bases(q, field).items():
+        got, std = standard_homology(q, x), standard_triangle(q, x)
+        verts = set(std.interior())
+        covers = {c for c in std.arrows if set(c) <= verts}
+        assert got.vertices == verts and got.hdims == {v: std.hdim(v) for v in verts}, name
+        assert got.arrows.keys() == covers and got.phi.keys() == std.phi.keys(), name
+        assert find_triangle_morphism(got, std, require_iso=True) is not None, name
+        if name == "zero":
+            assert not any(got.hdims.values()) and not any(got.arrows.values())
+            assert got.phi and not any(got.phi.values())
+            continue
+        ref = {c: std.arrow_h(c) for c in covers}
+        for (a, b), maps in ref.items():
+            for d in std.hdim(a).keys() & std.hdim(b).keys():
+                if maps[d].is_zero():
+                    zero_covers += 1
+                    unit = Matrix.from_rows(field, [[int(i == j == 0) for j in range(maps[d].ncols)]
+                                                    for i in range(maps[d].nrows)])
+                    bent = {**ref, (a, b): {**maps, d: unit}}
+                    twisted = HomologyTriangle(std.n, field, verts, got.hdims, bent, std.phi)
+                    assert find_triangle_morphism(got, twisted, require_iso=True) is None, (a, b)
+    assert zero_covers
 
 
 def test_translate_flip_distinguished():

@@ -331,6 +331,31 @@ def test_complement_projection_rejects_dependent_columns(field):
         assert rank(Matrix.hstack(field, [sub, sec])) == sub.nrows
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("n", [0, 1, 4])
+def test_complement_projection_of_no_columns_is_the_elimination_answer(field, n):
+    """With no columns to divide out, complement_projection returns the
+    shared identity twice without eliminating: rref([sub | I]) is I, every
+    unit vector is a pivot, and both matrices it gives equal I."""
+    sub, eye = Matrix.zeros(field, n, 0), Matrix.identity(field, n)
+    red, pivots = rref(Matrix.hstack(field, [sub, eye], nrows=n))
+    proj, sec = complement_projection(sub)
+    assert pivots == list(range(n))
+    assert proj == red.submatrix(range(n), range(n)) and sec == eye.submatrix(range(n), pivots)
+    assert proj is eye and sec is eye
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_is_invertible_reads_a_1x1_matrix_from_its_entry(field):
+    """A 1x1 matrix is invertible exactly when its rank is 1, also for an
+    entry that is a multiple of the characteristic."""
+    for x in (0, 1, -1, 2, 5, 32003, 5 * 32003 + 1):
+        m = Matrix.from_rows(field, [[x]])
+        assert is_invertible(m) == (rank(m) == 1), x
+    assert is_invertible(Matrix.from_rows(field, [[5]])) == (field.p != 5)
+    assert not is_invertible(Matrix.from_rows(field, [[1, 0]]))
+
+
 @pytest.mark.parametrize("field", [GF(5), QQ])
 def test_zero_and_identity_are_shared_and_immutable(field):
     z = Matrix.zeros(field, 2, 3)
