@@ -348,7 +348,12 @@ class ARDiagram:
     # -- restriction ---------------------------------------------------------
 
     def restrict(self, q2: LineQuiver, embedding: Dict[int, Vertex]) -> Complex:
-        """Restriction along a level-respecting embedding of q2."""
+        """Restriction along a level-respecting embedding of q2; ValueError
+        when the embedding sends a vertex outside the window."""
+        outside = next((embedding[v] for v in q2.vertices if embedding[v] not in self.window), None)
+        if outside is not None:
+            raise ValueError(f"the embedding leaves the window {self.window}: "
+                             f"vertex {outside} is not in it")
         vals = {v: self.values[embedding[v]] for v in q2.vertices}
         arrs = {(u, v): self.arrows[(embedding[u], embedding[v])] for (u, v) in q2.arrows()}
         return glue(q2.poset(), self.spectator, vals, arrs)

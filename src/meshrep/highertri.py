@@ -543,10 +543,6 @@ def is_distinguished(t: NTriangle, seed: int = 0) -> bool:
     if not ok:
         return False
     std = standard_homology(t.q, t.base_complex())
-    common = sorted(std.vertices & t.vertices)
-    for v in common:
-        if std.hdim(v) != t.hdim(v):
-            return False
     return find_triangle_morphism(std, t, require_iso=True, seed=seed) is not None
 
 

@@ -180,10 +180,18 @@ class LineQuiver:
         return LineQuiver(self.n, flipped)
 
     def poset(self) -> Poset:
-        return Poset(list(self.vertices), self.arrows(), name=f"A{self.n}({self.orientation})")
+        """The path poset; one shared instance per orientation, as a Poset never changes."""
+        p = _LINE_POSETS.get((self.n, self.orientation))
+        if p is None:
+            p = _LINE_POSETS[self.n, self.orientation] = Poset(
+                list(self.vertices), self.arrows(), name=f"A{self.n}({self.orientation})")
+        return p
 
     def __str__(self):
         return f"A{self.n}[{self.orientation}]"
+
+
+_LINE_POSETS: Dict[Tuple[int, str], Poset] = {}
 
 
 def all_orientations(n: int) -> List[LineQuiver]:

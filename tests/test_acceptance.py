@@ -35,6 +35,27 @@ def test_census_fails_when_decompose_drops_a_summand(monkeypatch):
     assert not rep.passed and rep.detail == "decompose mismatch", rep.line()
 
 
+def test_census_fails_when_the_thin_path_ignores_zero_arrows(monkeypatch):
+    """Mutation: reading a thin rep as its runs of support, joined also by
+    zero arrows, makes census FAIL."""
+    from meshrep import rep as rep_module
+    from meshrep.rep import Interval
+
+    def runs_of_support(q, x):
+        out, birth = {}, 0
+        for k in q.vertices:
+            if x.dims[k]:
+                birth = birth or k
+                if k == q.n or not x.dims[k + 1]:
+                    out[Interval(birth, k)] = 1
+                    birth = 0
+        return out
+
+    monkeypatch.setattr(rep_module, "_thin_intervals", runs_of_support)
+    rep = suites.suite_census(seed=DEFAULT_SEED, nmax=3, samples=10)
+    assert not rep.passed and rep.detail == "decompose mismatch", rep.line()
+
+
 def test_criterion_02_ar_construction():
     """Boundary vanishing, bicartesian squares, round trip, Sigma = f^*."""
     _run("ar")
@@ -78,6 +99,21 @@ def test_reflections_fail_when_split_loses_an_arrow(monkeypatch):
 def test_criterion_04_fractional_calabi_yau():
     """S^(n+1) = Sigma^(n-1) for n = 2..6; S^2 != Sigma at n = 3."""
     _run("frac-cy")
+
+
+def test_frac_cy_fails_when_serre_powers_are_shifted_once_more(monkeypatch):
+    """Negative control: a SerreTable whose powers carry one more shift
+    makes frac-cy FAIL."""
+    table = suites.SerreTable
+
+    class Shifted(table):
+        def power(self, itv, j):
+            delta, img = super().power(itv, j)
+            return delta + 1, img
+
+    monkeypatch.setattr(suites, "SerreTable", Shifted)
+    rep = suites.suite_frac_cy(seed=DEFAULT_SEED, nmax=3)
+    assert not rep.passed and rep.detail == "S^(n+1) != Sigma^(n-1)", rep.line()
 
 
 def test_criterion_05_serre_duality():
@@ -149,6 +185,16 @@ def test_tilting_fails_when_the_reverse_tilt_is_shifted(monkeypatch):
 def test_criterion_10_picard_relations():
     """Commutation, (Sigma I)^(n-1) = D^(n+1) for n = 2..4, minimality grid."""
     _run("picard")
+
+
+def test_picard_fails_when_the_duality_module_is_shifted_once(monkeypatch):
+    """Negative control: a duality module shifted once makes picard FAIL."""
+    from meshrep import tilting
+    duality = tilting.duality_module
+    monkeypatch.setattr(tilting, "duality_module", lambda *a, **kw: duality(*a, **kw).shift(1))
+    rep = suites.suite_picard(seed=DEFAULT_SEED, nmax=3)
+    assert not rep.passed and rep.detail == "Picard relations failed at n=2", rep.line()
+    assert "fractional_relation=False" in rep.line()
 
 
 def test_criterion_11_mesh_happel():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from meshrep.linalg import (
-    GF, MAX_PRIME, QQ, FieldSpec, Matrix, column_space_basis, complement_columns,
+    GF, MAX_PRIME, QQ, FieldSpec, Matrix, _gauss_jordan, column_space_basis, complement_columns,
     complement_projection, inverse, is_invertible, kernel_basis, rank, rref, solve, split_vector,
     sylvester_system,
 )
@@ -374,6 +374,67 @@ def test_zero_and_identity_are_shared_and_immutable(field):
     rows = Matrix.identity(field, 3).rows()
     rows[1][1] = 0
     assert Matrix.identity(field, 3).rows() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_block_shortcuts_return_the_shared_zero_or_the_block(field):
+    a = Matrix.from_rows(field, [[1, 2], [3, 4]])
+    # no block of positive size: the shared zero, also for a result of positive size
+    assert Matrix.block(field, [[None, None]], [2], [2, 3]) is Matrix.zeros(field, 2, 5)
+    assert Matrix.block(field, [[Matrix.zeros(field, 0, 2)]], [0], [2]) is Matrix.zeros(field, 0, 2)
+    # one block that fills the result, the others of zero size: that block
+    grid = [[a, Matrix.zeros(field, 2, 0)], [None, Matrix.zeros(field, 0, 0)]]
+    assert Matrix.block(field, grid, [2, 0], [2, 0]) is a
+    assert Matrix.block(field, [[a, None]], [2], [2, 1]).rows() == [[1, 2, 0], [3, 4, 0]]
+    # a wrongly shaped block still raises, also in a row of size zero
+    for grid, rows, cols in (([[a], [Matrix.zeros(field, 1, 2)]], [2, 0], [2]),
+                             ([[None], [a]], [0, 0], [2]),
+                             ([[a, Matrix.zeros(field, 2, 1)]], [2], [2, 0])):
+        with pytest.raises(ValueError, match="wrong shape"):
+            Matrix.block(field, grid, rows, cols)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("n", [3, 13])  # 13 x 13 is past the numpy size over F_p
+def test_submatrix_shortcuts_return_the_shared_zero_or_self(field, n):
+    m = Matrix.from_rows(field, [[i * n + j for j in range(n)] for i in range(n)])
+    assert m.submatrix(range(n), range(n)) is m
+    assert m.submatrix(list(range(n)), [j - n for j in range(n)]) is m  # the same indices
+    assert m.submatrix([], range(n)) is Matrix.zeros(field, 0, n)
+    assert m.submatrix(range(2), []) is Matrix.zeros(field, 2, 0)
+    turned = m.submatrix(range(n - 1, -1, -1), range(n))  # every row, out of order
+    assert turned is not m and turned.rows() == m.rows()[::-1]
+    # an index out of range raises also when the other selection is empty
+    for rows, cols in (([n], []), ([], [n]), ([0, -n - 1], [])):
+        with pytest.raises(IndexError):
+            m.submatrix(rows, cols)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_hstack_shortcuts_return_the_shared_zero_or_the_part(field):
+    a = Matrix.from_rows(field, [[1, 2], [3, 4]])
+    none = Matrix.zeros(field, 2, 0)
+    assert Matrix.hstack(field, [none, a, none]) is a
+    assert Matrix.hstack(field, [none, none]) is none
+    flat = Matrix.zeros(field, 0, 3)
+    assert Matrix.hstack(field, [flat, Matrix.zeros(field, 0, 2)]) is Matrix.zeros(field, 0, 5)
+    assert Matrix.hstack(field, [a, a]).rows() == [[1, 2, 1, 2], [3, 4, 3, 4]]
+    with pytest.raises(ValueError, match="row mismatch"):  # the row check reads every part
+        Matrix.hstack(field, [a, Matrix.zeros(field, 3, 0)])
+
+
+@pytest.mark.parametrize("field", FIELDS + [GF(2)], ids=str)
+def test_one_row_rref_is_the_elimination_answer(field):
+    """A one-row rref scales the row by the inverse of its first nonzero
+    entry, and returns the matrix itself when that entry is 1."""
+    for row in ([0, 0, 0], [0, 3, 1], [4, 0, 2], [1, 2, 3], [0, -1], [7], list(range(2, 160))):
+        m = Matrix.from_rows(field, [row])
+        rows = m.rows()
+        pivots = _gauss_jordan(rows, field.p)
+        red, got = rref(m)
+        assert (red, got) == (Matrix.from_rows(field, rows), pivots), row
+        if not pivots or m[0, pivots[0]] == 1:
+            assert red is m
 
 
 @pytest.mark.parametrize("field", [GF(5), GF(32003), QQ])

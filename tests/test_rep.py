@@ -144,6 +144,26 @@ def test_decompose_matches_rank_decompose_in_every_orientation(field):
                 _check_against_oracle(q, _random_rep(q, field, dims, [kind] * (n - 1), rng))
 
 
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)
+def test_thin_decompose_matches_rank_decompose_in_every_orientation(field):
+    """Thin reps (every dimension 0 or 1) take the run reading of decompose:
+    arrows between two 1-dimensional vertices are 0, 1 or another scalar."""
+    rng = np.random.default_rng(7)
+    zeros = others = 0
+    for n in range(1, 7):
+        for q in all_orientations(n):
+            for _ in range(3):
+                dims = {v: int(rng.random() < 0.8) for v in q.vertices}
+                mats = {}
+                for (u, v) in q.arrows():
+                    if dims[u] and dims[v]:
+                        m = mats[(u, v)] = Matrix.from_rows(field, [[int(rng.integers(-3, 4))]])
+                        zeros += m.is_zero()
+                        others += m[0, 0] not in (0, 1)
+                _check_against_oracle(q, Rep(q.poset(), field, dims, mats, validate=False))
+    assert zeros and (others or field.p == 2)
+
+
 def test_decompose_rejects_a_rep_over_another_quiver():
     x = interval_module(LineQuiver.linear(3), 1, 3, F)
     with pytest.raises(ValueError):

@@ -268,6 +268,15 @@ def test_iter_tilt_vs_restriction():
     assert bimodules_quasi_isomorphic(rest, t)
 
 
+def test_restriction_along_an_embedding_that_leaves_the_window_raises():
+    from meshrep.functors import transport_embedding
+    q, q2 = LineQuiver(3, "FF"), LineQuiver(3, "BB")
+    d = ar_constructor(q, F)
+    emb = transport_embedding(q, q2)  # sends vertex 3 to (-2, 3), left of the window
+    with pytest.raises(ValueError, match=r"window MeshWindow\(n=3, kmin=-1, kmax=5\).*\(-2, 3\)"):
+        ar_constructor_restriction(d, q2, emb)
+
+
 def test_yoneda_window():
     for n in (2, 3):
         q = LineQuiver.linear(n)
