@@ -588,6 +588,13 @@ def mesh_object(q: LineQuiver, u: Vertex, fieldspec: Optional[FieldSpec] = None)
 
     On the canonical embedding slice (read top to bottom) these are the
     projectives; the translation t acts as the AR translation.
+
+    The result is cached by (n, orientation, u), without the field, and
+    fieldspec (GF() by default) only chooses where the Coxeter functors are
+    computed.  This is sound because the normal form does not depend on the
+    field: it is a shifted interval, and the Coxeter functors take shifted
+    intervals to shifted intervals by the combinatorics of the AR quiver of
+    A_n, the same over every field.
     """
     from .derived import object_complex
     from .functors import coxeter_minus, coxeter_plus

@@ -523,6 +523,16 @@ _HOM_CACHE: Dict[Tuple[int, str], Tuple[Dict, Dict]] = {}
 
 
 def interval_hom_tables(q: LineQuiver) -> Tuple[Dict, Dict]:
+    """(dim Hom, dim Ext^1) between all pairs of interval modules over q,
+    computed once per quiver over GF() and cached without the field.
+
+    Leaving the field out is sound: these dimensions do not depend on it.
+    An interval module has identity maps inside its support over every
+    field, so a hom x -> y is one scalar per vertex of both supports, and
+    each arrow a -> b asks [a in supp y] s_a = [b in supp x] s_b: two
+    scalars equal, or one zero.  Such equations have a solution space of the
+    same dimension over every field, and dim Ext^1 is dim Hom minus the
+    Euler form, a sum over dimension vectors."""
     key = (q.n, q.orientation)
     if key not in _HOM_CACHE:
         from .linalg import GF

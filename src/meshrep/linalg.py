@@ -4,11 +4,22 @@ Everything downstream (hom spaces, homology, tensor calculus) reduces to rank /
 kernel / solve over an exact field, so no floating point appears anywhere in
 the package.  A Matrix keeps its entries in one flat, row-major, immutable
 sequence: a tuple of Fractions over Q, bytes of 16-bit entries over F_p.  Most
-matrices are tiny, so operations run over Python lists, one Gauss-Jordan
-elimination serving both fields.  Over F_p, rref, kron, submatrix and the
-constructor run in numpy above _NUMPY_ENTRIES = 144 entries, and products above
-_NUMPY_PRODUCTS = 16 multiplications, on exact int64 copies: the measured
-break-evens, given below.
+matrices are tiny, so operations run over Python lists.  Over F_p, rref, kron,
+submatrix and the constructor run in numpy above _NUMPY_ENTRIES = 144 entries,
+and products above _NUMPY_PRODUCTS = 16 multiplications, on exact int64
+copies: the measured break-evens, given below.
+
+Over Q, rref and @ run on Python integers and build one Fraction per entry of
+the result: rref eliminates fraction-free on rows cleared of denominators,
+and each entry of a product is one integer dot product over the denominators
+of its row and its column.  Per call on a 2-core x86-64 host (Python 3.11),
+random entries in -4..4, Fraction arithmetic against integers: rref 2x4 39
+against 25 us, 3x6 140 against 54, 4x8 322 against 70, 8x8 1563 against 241,
+12x12 4993 against 496; with denominators 1..3, 3x6 133 against 35 and 8x8
+1493 against 179; @ n x n by n x n, n = 1 4.7 against 3.9 us, 2 28.7 against
+10.7, 3 84 against 19, 5 372 against 49, and with denominators, n = 1 4.2
+against 4.4 and 3 83 against 24.  No size threshold: integers are not slower
+at any size measured.
 
 Most calls are degenerate, and these return without building storage: a
 block, submatrix or hstack with an empty result gives the shared zero, and
@@ -26,6 +37,7 @@ import itertools
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add, mul, sub
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -234,7 +246,13 @@ class Matrix:
             return other
         if _IDENTITIES.get((other.field.p, c)) is other:
             return self
-        if self.field.p is not None and r * k * c > _NUMPY_PRODUCTS:
+        if self.field.p is None:  # entry (i, j) is one integer dot product over d_i e_j
+            a, b = self._data, other._data
+            rows = [_clear_denominators(a[i:i + k]) for i in range(0, r * k, k)]
+            cols = [_clear_denominators(b[j::c]) for j in range(c)]
+            return _new(self.field, r, c, tuple([Fraction(sum(map(mul, x, y)), d * e)
+                                                 for d, x in rows for e, y in cols]))
+        if r * k * c > _NUMPY_PRODUCTS:
             return _from_np(self.field, _np(self) @ _np(other))
         a, b = _entries(self), _entries(other)
         cols = [b[j::c] for j in range(c)]
@@ -374,6 +392,15 @@ def _side_by_side(field: FieldSpec, nrows: int, blocks: List[Tuple]):
     return _join(field, [d[s * t:s * t + n] for t in range(nrows) for d, s, n in blocks])
 
 
+def _clear_denominators(xs: Sequence[Fraction]) -> Tuple[int, List[int]]:
+    """(d, [d x for x in xs]) for the lcm d of the denominators of xs."""
+    dens = [x.denominator for x in xs]
+    if dens.count(1) == len(dens):
+        return 1, [x.numerator for x in xs]
+    d = lcm(*dens)
+    return d, [x.numerator * (d // e) for x, e in zip(xs, dens)]
+
+
 def _zero_data(field: FieldSpec, n: int):
     return (Fraction(0),) * n if field.p is None else bytes(2 * n)
 
@@ -398,29 +425,51 @@ def _from_np(field: FieldSpec, a: np.ndarray) -> Matrix:
 
 def _gauss_jordan(rows: List[List[Scalar]], p: Optional[int]) -> List[int]:
     """Reduce rows (lists of entries of F_p, of Q when p is None) to rref in
-    place, pivoting on the first nonzero entry of each column; return the pivots."""
-    nrows, pivots, r = len(rows), [], 0
-    for c in range(len(rows[0])):
+    place, pivoting on the first nonzero entry of each column; return the pivots.
+
+    Over Q the elimination runs on integers (fraction-free, as in Bareiss,
+    Math. Comp. 22, 1968): each row is scaled by the lcm of its denominators,
+    pivot x clears column c from row i by row_i <- (x row_i - f row_r) / g,
+    g = gcd(x, f), and a changed row is divided by the gcd of its entries so
+    that they stay small.  Scaling a row by a nonzero integer moves no zero,
+    so the pivots are those of the division at every step; at the end each
+    pivot row is divided by its pivot.  The rref is unique, so its Fractions
+    are the same too."""
+    if p is None:
+        rows[:] = [_clear_denominators(row)[1] for row in rows]
+    nrows, ncols, pivots, r = len(rows), len(rows[0]), [], 0
+    for c in range(ncols):
         for i in range(r, nrows):
             if rows[i][c]:
                 break
         else:
             continue
         prow, rows[i], x = rows[i], rows[r], rows[i][c]
-        if p is None:
-            prow = rows[r] = [y / x for y in prow]
-        else:
+        if p is not None:
             x = pow(x, p - 2, p)
-            prow = rows[r] = [y * x % p for y in prow]
+            prow = [y * x % p for y in prow]
+        rows[r] = prow
         for i in range(nrows):
             f = rows[i][c]
             if f and i != r:
-                rows[i] = [y - f * z for y, z in zip(rows[i], prow)] if p is None \
-                    else [(y - f * z) % p for y, z in zip(rows[i], prow)]
+                if p is not None:
+                    rows[i] = [(y - f * z) % p for y, z in zip(rows[i], prow)]
+                else:
+                    g = gcd(x, f)
+                    a, f = x // g, f // g
+                    row = [a * y - f * z for y, z in zip(rows[i], prow)]
+                    g = gcd(*row)
+                    rows[i] = [y // g for y in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == nrows:
             break
+    if p is None:
+        zero = Fraction(0)
+        for i, c in enumerate(pivots):
+            x = rows[i][c]
+            rows[i] = [Fraction(y, x) if y else zero for y in rows[i]]
+        rows[r:] = [[zero] * ncols for _ in range(r, nrows)]
     return pivots
 
 

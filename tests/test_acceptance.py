@@ -169,6 +169,13 @@ def test_criterion_08_golden_diagrams():
     _run("golden")
 
 
+def test_golden_fails_when_the_duality_module_is_the_identity(monkeypatch):
+    """Negative control: a duality module that returns I_Q makes golden FAIL."""
+    monkeypatch.setattr(suites, "duality_module", suites.identity_prof)
+    rep = suites.suite_golden(seed=DEFAULT_SEED)
+    assert not rep.passed and rep.detail == "D(A3) pattern mismatch", rep.line()
+
+
 def test_criterion_09_tilting_characterization():
     """Perfect / rigid / generator / invertible for every T_{Q',Q}, n <= 4."""
     _run("tilting")

@@ -288,6 +288,98 @@ def test_q_arithmetic_matches_fraction_reference(nr, k, nc, data):
     _check_against_reference(QQ, None, a, b, c)
 
 
+def _fraction_gauss_jordan(rows):
+    """The Fraction elimination that the integer one over Q replaced: rows to
+    rref in place, dividing by the pivot at every step; return the pivots."""
+    nrows, pivots, r = len(rows), [], 0
+    for c in range(len(rows[0])):
+        for i in range(r, nrows):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        prow, rows[i], x = rows[i], rows[r], rows[i][c]
+        prow = rows[r] = [y / x for y in prow]
+        for i in range(nrows):
+            f = rows[i][c]
+            if f and i != r:
+                rows[i] = [y - f * z for y, z in zip(rows[i], prow)]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
+
+
+def _draw_rationals(data, nrows, ncols):
+    """Rows of Fractions: small, non-integral, negative, or with numerators
+    and denominators above 2^64; zero entries, zero rows and zero columns are
+    likely, and a last row may be a combination of the others."""
+    big = st.integers(2 ** 64, 2 ** 80)
+    entry = st.one_of(st.just(0), st.integers(-9, 9), st.builds(Fraction, st.integers(-9, 9),
+                                                                  st.integers(1, 12)),
+                      st.builds(lambda s, n: s * n, st.sampled_from([1, -1]), big),
+                      st.builds(Fraction, big, st.integers(1, 2 ** 70)))
+    rows = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                              min_size=nrows, max_size=nrows))
+    rows = [[Fraction(x) for x in row] for row in rows]
+    zero_row, zero_col = data.draw(st.integers(-1, nrows - 1)), data.draw(st.integers(-1, ncols - 1))
+    for i, row in enumerate(rows):
+        for j in range(ncols):
+            if i == zero_row or j == zero_col:
+                row[j] = Fraction(0)
+    if nrows > 1 and data.draw(st.booleans()):  # rank deficient: row -1 from rows 0..-2
+        coeffs = data.draw(st.lists(st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)),
+                                    min_size=nrows - 1, max_size=nrows - 1))
+        rows[-1] = [sum(c * row[j] for c, row in zip(coeffs, rows[:-1])) for j in range(ncols)]
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 7), st.integers(1, 7), st.integers(1, 5), st.data())
+def test_q_kernel_matches_the_fraction_elimination(nr, nc, k, data):
+    """Over Q, rref with its pivots, inverse, solve, kernel_basis and @, which
+    eliminate and multiply on integers, give exactly the Fractions of the
+    Fraction elimination and of Fraction dot products."""
+    a = _draw_rationals(data, nr, nc)
+    b = _draw_rationals(data, nr, k)
+    c = _draw_rationals(data, nc, k)
+    m = Matrix.from_rows(QQ, a)
+
+    def reference(rows):
+        rows = [list(row) for row in rows]
+        return rows, _fraction_gauss_jordan(rows)
+
+    red, pivots = reference(a)
+    assert rref(m) == (Matrix.from_rows(QQ, red), pivots)
+    assert all(type(x) is Fraction for x in rref(m)[0]._data)
+    free = [f for f in range(nc) if f not in pivots]
+    want = [[Fraction(int(j == f)) for f in free] for j in range(nc)]
+    for i, pc in enumerate(pivots):
+        want[pc] = [-red[i][f] for f in free]
+    got = kernel_basis(m)
+    assert (got.nrows, got.ncols) == (nc, len(free)) and got.rows() == want
+    both, both_pivots = reference([u + v for u, v in zip(a, b)])
+    x = solve(m, Matrix.from_rows(QQ, b))
+    if both_pivots and both_pivots[-1] >= nc:
+        assert x is None
+    else:
+        at = {pc: i for i, pc in enumerate(both_pivots)}
+        assert x.rows() == [both[at[j]][nc:] if j in at else [0] * k for j in range(nc)]
+    square = Matrix.from_rows(QQ, [row[:nr] for row in a]) if nc >= nr else None
+    if square is not None:
+        eye = [[Fraction(int(i == j)) for j in range(nr)] for i in range(nr)]
+        aug, aug_pivots = reference([row[:nr] + e for row, e in zip(a, eye)])
+        if aug_pivots[:nr] == list(range(nr)):
+            assert inverse(square).rows() == [row[nr:] for row in aug]
+        else:
+            with pytest.raises(ValueError, match="singular"):
+                inverse(square)
+    product = m @ Matrix.from_rows(QQ, c)
+    assert product.rows() == _ref_matmul(a, c, None)
+    assert all(type(x) is Fraction for x in product._data)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 5), st.integers(0, 4), st.integers(0, 4), st.integers(0, 2), st.data())
 def test_complement_columns_extend_the_span(nr, ns, nc, fidx, data):
