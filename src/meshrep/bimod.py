@@ -5,7 +5,9 @@ posets P, R; canceling tensor products are computed from the standard
 two-term bimodule resolution when the middle shape is hereditary (line
 quivers, trees) and from the normalized bar resolution of the incidence
 algebra otherwise (needed for the commutative-square middle).  The bar route
-doubles as an independent oracle for the hereditary route.
+doubles as an independent oracle for the hereditary route.  The external
+tensor boxtimes is the canceling tensor over a point, read on the product
+shapes.
 """
 
 from __future__ import annotations
@@ -363,103 +365,21 @@ def boxtimes(m1: Bimodule, m2: Bimodule) -> Bimodule:
     """External tensor of bimodules: entries multiply, shapes take products.
 
     The result is a bimodule over (L1 x L2) x (R1 x R2)^op; it is the kernel
-    of the boxtimes of the corresponding functors.
-    """
+    of the boxtimes of the corresponding functors.  It is the tensor over a
+    point of m1 as a left and m2 as a right module, whose entry at
+    ((a1, b1), (a2, b2)) is m1(a1, b1) (x) m2(a2, b2), read at
+    ((a1, a2), (b1, b2))."""
     l1, l2 = m1.left_poset, m2.left_poset
     r1, r2 = m1.right_poset, m2.right_poset
     left = l1.product(l2, name=f"{l1.name}*{l2.name}")
     right = r1.product(r2, name=f"{r1.name}*{r2.name}")
-    target = left.product(right.opposite())
     c1, c2 = m1.complex, m2.complex
-    field = c1.field
+    t = cancel_tensor(from_left_complex(c1.shape, c1), from_right_complex(c2.shape.opposite(), c2))
 
-    def relabel(e1, e2):
-        (a1, b1), (a2, b2) = e1, e2
-        return ((a1, a2), (b1, b2))
-
-    degs1, degs2 = c1.degrees(), set(c2.degrees())
-    terms = {}
-    diffs: Dict[int, Dict] = {}
-    allk = sorted({i + j for i in degs1 for j in degs2})
-    if not allk:
-        return Bimodule(left, right, Complex.zero(target, field))
-
-    def pairs(d):
-        return [(i, d - i) for i in degs1 if (d - i) in degs2]
-
-    def _split(e):
-        (a12, b12) = e
-        (a1, a2), (b1, b2) = a12, b12
+    def at(e):
+        (a1, a2), (b1, b2) = e
         return (a1, b1), (a2, b2)
-
-    layouts = {}
-    for d in allk:
-        lay = {}
-        for e in target.elements:
-            loc, t = {}, 0
-            em1, em2 = _split(e)
-            for (i, j) in pairs(d):
-                sz = c1.term(i).dims[em1] * c2.term(j).dims[em2]
-                if sz:
-                    loc[(i, j)] = (t, sz)
-                    t += sz
-            lay[e] = (loc, t)
-        layouts[d] = lay
-
-    for d in allk:
-        lay = layouts[d]
-        dims = {e: lay[e][1] for e in target.elements}
-        mats = {}
-        for (x, y) in target.covers:
-            rows, cols = dims[y], dims[x]
-            out = Matrix.zeros(field, rows, cols).rows()
-            x1, x2 = _split(x)
-            y1, y2 = _split(y)
-            for key, (c0, _) in lay[x][0].items():
-                if key not in lay[y][0]:
-                    continue
-                (i, j) = key
-                r0 = lay[y][0][key][0]
-                if x1 != y1:
-                    blk = c1.term(i).path_map(x1, y1).kron(
-                        Matrix.identity(field, c2.term(j).dims[x2]))
-                else:
-                    blk = Matrix.identity(field, c1.term(i).dims[x1]).kron(
-                        c2.term(j).path_map(x2, y2))
-                bb = blk.rows()
-                for rr in range(blk.nrows):
-                    for cc in range(blk.ncols):
-                        out[r0 + rr][c0 + cc] = bb[rr][cc]
-            mats[(x, y)] = Matrix.from_rows(field, out) if rows and cols \
-                else Matrix.zeros(field, rows, cols)
-        terms[d] = Rep(target, field, dims, mats, validate=False)
-    for d in allk:
-        if d - 1 not in layouts:
-            continue
-        phi = {}
-        for e in target.elements:
-            em1, em2 = _split(e)
-            src_loc, src_dim = layouts[d][e]
-            tgt_loc, tgt_dim = layouts[d - 1][e]
-            out = Matrix.zeros(field, tgt_dim, src_dim).rows()
-            for (i, j), (c0, _) in src_loc.items():
-                for tkey, blk in (((i - 1, j), c1.diff(i)[em1].kron(
-                        Matrix.identity(field, c2.term(j).dims[em2]))),
-                                  ((i, j - 1), Matrix.identity(field, c1.term(i).dims[em1]).kron(
-                                      c2.diff(j)[em2]))):
-                    if tkey not in tgt_loc:
-                        continue
-                    if tkey == (i, j - 1) and i % 2:
-                        blk = -blk
-                    r0 = tgt_loc[tkey][0]
-                    bb = blk.rows()
-                    for rr in range(blk.nrows):
-                        for cc in range(blk.ncols):
-                            out[r0 + rr][c0 + cc] += bb[rr][cc]
-            phi[e] = Matrix.from_rows(field, out) if tgt_dim and src_dim \
-                else Matrix.zeros(field, tgt_dim, src_dim)
-        diffs[d] = phi
-    return Bimodule(left, right, Complex(target, field, terms, diffs, validate=False))
+    return Bimodule(left, right, restrict(t.complex, left.product(right.opposite()), at))
 
 
 # ---------------------------------------------------------------------------

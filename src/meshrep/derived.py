@@ -13,7 +13,8 @@ from functools import reduce
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .linalg import FieldSpec, Matrix, kernel_basis, rref, solve
-from .rep import Interval, Rep, decompose, hom_dim, interval_module, direct_sum
+from .rep import (Interval, Rep, decompose, hom_dim, interval_module, interval_presentation,
+                  direct_sum)
 from .shapes import Element, LineQuiver, Poset, point_poset
 
 RepMap = Dict[Element, Matrix]
@@ -499,6 +500,52 @@ def object_complex(q: LineQuiver, obj: DerivedObject, field: FieldSpec) -> Compl
         add = direct_sum([interval_module(q, itv.i, itv.j, field)] * m, q.poset(), field)
         terms[s] = terms[s].direct_sum(add) if s in terms else add
     return Complex(q.poset(), field, terms, {}, validate=False)
+
+
+def presentation_cone(q: LineQuiver, obj: DerivedObject, value: Callable[[int], Complex],
+                      inclusion: Callable[[int, int], ChainMap], shape: Poset, field: FieldSpec
+                      ) -> Tuple[Complex, List[Part], List[Tuple[int, int]]]:
+    """The minimal projective resolutions 0 -> P1 -> P0 -> M[i,j] -> 0 of
+    rep.interval_presentation, one for each copy of each summand
+    Sigma^s M[i,j] of obj and shifted by s, with each P_v replaced by
+    value(v) and each inclusion P_w ⊂ P_v by inclusion(v, w): value(w) ->
+    value(v).  That is the cone of one block map from the sum of the P1
+    parts to the sum of the P0 parts, or the sum of the P0 parts when there
+    is no P1 part; shape and field give the zero complex of a zero obj.
+    Returns the complex, its parts in order (the P1 parts shifted once more,
+    then the P0 parts), and for each P0 part (k, v): it is the top v of the
+    k-th copy of a summand, counted in the order of obj.summands."""
+    p0: List[Part] = []
+    p1: List[Part] = []
+    tops: List[Tuple[int, int]] = []
+    entries: List[Tuple[int, int, int, int, int]] = []  # (P0 part, P1 part, sign, v, w)
+    copies = 0
+    for (s, itv, mult) in obj.summands:
+        itv_tops, relations = interval_presentation(q, itv)
+        for _ in range(mult):
+            row = {v: len(p0) + k for k, v in enumerate(itv_tops)}
+            p0.extend((value(v), s) for v in itv_tops)
+            tops.extend((copies, v) for v in itv_tops)
+            for w, into in relations:
+                entries.extend((row[v], len(p1), sign, v, w) for v, sign in into)
+                p1.append((value(w), s))
+            copies += 1
+    if not p0:
+        return Complex.zero(shape, field), [], []
+    tgt = shifted_sum(p0)
+    if not p1:
+        return tgt, p0, tops
+    src = shifted_sum(p1)
+
+    def grid(d: int) -> Grid:
+        out: Grid = [[None] * len(p1) for _ in p0]
+        for row, col, sign, v, w in entries:
+            comp = inclusion(v, w).comp(d - p1[col][1])
+            out[row][col] = comp if sign == 1 else negated(comp)
+        return out
+
+    return (cone(block_map(src, p1, tgt, p0, src.degrees(), grid)),
+            [(c, s + 1) for c, s in p1] + p0, tops)
 
 
 # ---------------------------------------------------------------------------

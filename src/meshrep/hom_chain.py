@@ -2,139 +2,63 @@
 
 Needed wherever an actual morphism (not just a dimension) in the derived
 category has to be realized: mesh triangles, triangle fillers, suspension
-identifications.
+identifications.  A projective model is the sum of the minimal resolutions
+of rep.interval_presentation, one per interval summand, laid out by
+derived.presentation_cone as in tilting.apply_bimodule.
 """
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Dict, List, Optional, Tuple
 
-from .derived import ChainMap, Complex, DerivedObject, block_complex, block_map, object_complex
+from .derived import (ChainMap, Complex, DerivedObject, Grid, RepMap, block_map, object_complex,
+                      presentation_cone)
 from .linalg import (FieldSpec, Matrix, complement_columns, kernel_basis, split_vector,
                      sylvester_system)
-from .rep import Rep, interval_module
+from .rep import Rep, interval_module, projective
 from .shapes import LineQuiver
 
 
-def projective_resolution(q: LineQuiver, x: Rep) -> Tuple[Rep, Rep, Dict, Dict]:
-    """The standard hereditary resolution 0 -> P1 -> P0 -> X -> 0.
-
-    P0 = sum_w P_w (x) X_w, P1 = sum_{arrows u->v} P_v (x) X_u; the
-    differential sends the (u->v) block to the v-block via X(alpha) and to
-    the u-block via the support inclusion P_v c P_u, with a minus sign.
-    Returns (P1, P0, d: P1 -> P0, aug: P0 -> X) as reps and rep maps.
-    """
-    field = x.field
-    shape = q.poset()
-    verts = list(q.vertices)
-    arrows = q.arrows()
-    supp = {v: {w: shape.leq(v, w) for w in verts} for v in verts}  # P_v support
-
-    # dims of P0 and P1 at each vertex y
-    p0_dims = {y: sum(x.dims[w] for w in verts if supp[w][y]) for y in verts}
-    p1_dims = {y: sum(x.dims[u] for (u, v) in arrows if supp[v][y]) for y in verts}
-
-    def p0_off(y):
-        offs, t = {}, 0
-        for w in verts:
-            if supp[w][y]:
-                offs[w] = t
-                t += x.dims[w]
-        return offs, t
-
-    def p1_off(y):
-        offs, t = {}, 0
-        for (u, v) in arrows:
-            if supp[v][y]:
-                offs[(u, v)] = t
-                t += x.dims[u]
-        return offs, t
-
-    def ident_block(rows, cols, roff, coff, size, out):
-        for i in range(size):
-            out[roff + i][coff + i] = 1
-
-    # structure maps of P0, P1 along covers y -> y2 (support inclusions)
-    p0_mats, p1_mats = {}, {}
-    for (y, y2) in q.arrows():
-        o1, t1 = p0_off(y)
-        o2, t2 = p0_off(y2)
-        rowsm = [[0] * t1 for _ in range(t2)]
-        for w in verts:
-            if supp[w][y] and supp[w][y2]:
-                ident_block(t2, t1, o2[w], o1[w], x.dims[w], rowsm)
-        p0_mats[(y, y2)] = Matrix.from_rows(field, rowsm) if t2 and t1 else Matrix.zeros(field, t2, t1)
-        o1, t1 = p1_off(y)
-        o2, t2 = p1_off(y2)
-        rowsm = [[0] * t1 for _ in range(t2)]
-        for (u, v) in arrows:
-            if supp[v][y] and supp[v][y2]:
-                ident_block(t2, t1, o2[(u, v)], o1[(u, v)], x.dims[u], rowsm)
-        p1_mats[(y, y2)] = Matrix.from_rows(field, rowsm) if t2 and t1 else Matrix.zeros(field, t2, t1)
-
-    p0 = Rep(shape, field, p0_dims, p0_mats, validate=False)
-    p1 = Rep(shape, field, p1_dims, p1_mats, validate=False)
-
-    # differential P1 -> P0 and augmentation P0 -> X
-    diff = {}
-    aug = {}
-    for y in verts:
-        o1, t1 = p1_off(y)
-        o0, t0 = p0_off(y)
-        rowsm = [[0] * t1 for _ in range(t0)]
-        for (u, v) in arrows:
-            if not supp[v][y]:
-                continue
-            # to the v block via X(alpha): X_u -> X_v
-            xa = x.mats[(u, v)].rows()
-            for i in range(x.dims[v]):
-                for jj in range(x.dims[u]):
-                    rowsm[o0[v] + i][o1[(u, v)] + jj] += xa[i][jj]
-            # to the u block via the inclusion P_v -> P_u (identity on X_u)
-            if supp[u][y]:
-                for i in range(x.dims[u]):
-                    rowsm[o0[u] + i][o1[(u, v)] + i] -= 1
-        diff[y] = Matrix.from_rows(field, rowsm) if t0 and t1 else Matrix.zeros(field, t0, t1)
-        arows = [[0] * t0 for _ in range(x.dims[y])]
-        for w in verts:
-            if supp[w][y]:
-                pm = x.path_map(w, y).rows()
-                for i in range(x.dims[y]):
-                    for jj in range(x.dims[w]):
-                        arows[i][o0[w] + jj] += pm[i][jj]
-        aug[y] = Matrix.from_rows(field, arows) if x.dims[y] and t0 else Matrix.zeros(field, x.dims[y], t0)
-    return p1, p0, diff, aug
+def _on_common_support(src: Rep, tgt: Rep) -> RepMap:
+    """The map between two interval modules that is the identity where both
+    are nonzero and zero elsewhere."""
+    return {e: Matrix.identity(src.field, 1) if src.dims[e] and tgt.dims[e]
+            else Matrix.zeros(src.field, tgt.dims[e], src.dims[e]) for e in src.shape.elements}
 
 
 def projective_model(q: LineQuiver, obj: DerivedObject, field: FieldSpec) -> Tuple[Complex, ChainMap]:
     """(P, aug: P -> model(obj)) with P a complex of projectives quasi-iso to obj:
-    the sum of one standard resolution per summand copy, laid out in the order
-    of object_complex, and the block-diagonal augmentation into that model."""
-    shape = q.poset()
+    derived.presentation_cone of the projectives P_v themselves and the
+    inclusions P_w ⊂ P_v, the sum of the minimal resolutions of the summand
+    copies, and the augmentation that sends each P_v of a P0 onto the copy
+    of M[i,j] in object_complex it resolves, the identity on their common
+    support."""
     model = object_complex(q, obj, field)
-    pieces: List[Complex] = []
-    augs: List[Tuple[int, Dict]] = []  # (degree s, augmentation P0 -> x) per piece
-    for (s, itv, mult) in obj.summands:
-        p1, p0, diff, aug = projective_resolution(q, interval_module(q, itv.i, itv.j, field))
-        pieces += [Complex(shape, field, {s: p0, s + 1: p1}, {s + 1: diff}, validate=False)] * mult
-        augs += [(s, aug)] * mult
-    total = Complex.zero(shape, field)
-    if pieces:
-        total = block_complex(
-            [(p, 0) for p in pieces], sorted({d for p in pieces for d in p.degrees()}),
-            lambda d: [[p.diff(d) if i == j else None for j, p in enumerate(pieces)]
-                       for i in range(len(pieces))] if any(d in p.diffs for p in pieces) else None)
-    # the augmentation lands in degree s of the model, one row block per piece of degree s
-    comps: Dict[int, Dict] = {}
-    for d in total.degrees():
-        rows = [(k, a) for k, (s, a) in enumerate(augs) if s == d]
-        comps[d] = {e: Matrix.block(field, [[a[e] if j == k else None for j in range(len(pieces))]
-                                            for k, a in rows],
-                                    [a[e].nrows for _, a in rows],
-                                    [p.term(d).dims[e] for p in pieces])
-                    for e in shape.elements}
-    return total, ChainMap(total, model, comps)
+
+    @lru_cache(maxsize=None)
+    def proj(v: int) -> Complex:
+        return Complex.from_rep(projective(q, v, field))
+
+    def inclusion(v: int, w: int) -> ChainMap:
+        """P_w ⊂ P_v."""
+        pw, pv = proj(w), proj(v)
+        return ChainMap(pw, pv, {0: _on_common_support(pw.term(0), pv.term(0))})
+
+    p, parts, tops = presentation_cone(q, obj, proj, inclusion, q.poset(), field)
+    copies = [(Complex.from_rep(interval_module(q, itv.i, itv.j, field)), s)
+              for (s, itv, mult) in obj.summands for _ in range(mult)]
+    first = len(parts) - len(tops)  # the column of the first P0 part
+
+    def grid(d: int) -> Grid:
+        out: Grid = [[None] * len(parts) for _ in copies]
+        for t, (k, v) in enumerate(tops):
+            m, s = copies[k]
+            if s == d:
+                out[k][first + t] = _on_common_support(proj(v).term(0), m.term(0))
+        return out
+
+    return p, block_map(p, parts, model, copies, p.degrees(), grid)
 
 
 def chain_map_space(cx: Complex, cy: Complex) -> List[ChainMap]:

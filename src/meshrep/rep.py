@@ -120,7 +120,8 @@ class Rep:
         return z
 
     def direct_sum(self, other: "Rep") -> "Rep":
-        if self.shape is not other.shape and self.shape.elements != other.shape.elements:
+        if self.shape is not other.shape and (self.shape.elements != other.shape.elements
+                                              or set(self.shape.covers) != set(other.shape.covers)):
             raise ValueError("shape mismatch")
         dims = {e: self.dims[e] + other.dims[e] for e in self.shape.elements}
         mats = {}
@@ -188,9 +189,8 @@ def simple(q: LineQuiver, v: int, field: FieldSpec) -> Rep:
 
 def projective(q: LineQuiver, v: int, field: FieldSpec) -> Rep:
     """P_v: supported on the vertices reachable from v."""
-    p = q.poset()
-    up = sorted(w for w in q.vertices if p.leq(v, w))
-    return interval_module(q, min(up), max(up), field)
+    itv = projective_interval(q, v)
+    return interval_module(q, itv.i, itv.j, field)
 
 
 def interval_presentation(q: LineQuiver, itv: Interval
@@ -227,9 +227,8 @@ def interval_presentation(q: LineQuiver, itv: Interval
 
 def injective(q: LineQuiver, v: int, field: FieldSpec) -> Rep:
     """I_v: supported on the vertices from which v is reachable."""
-    p = q.poset()
-    down = sorted(w for w in q.vertices if p.leq(w, v))
-    return interval_module(q, min(down), max(down), field)
+    itv = injective_interval(q, v)
+    return interval_module(q, itv.i, itv.j, field)
 
 
 def projective_interval(q: LineQuiver, v: int) -> Interval:

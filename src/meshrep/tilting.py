@@ -13,15 +13,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from .armesh import ARDiagram, build_ar, mesh_object
 from .bimod import (Bimodule, bimodules_quasi_isomorphic, cancel_tensor, check_middle,
                     duality_module, identity_prof)
-from .derived import (ChainMap, Complex, Grid, Part, block_map, cone, derived_hom_graded, glue,
-                      is_acyclic, negated, normalize, restrict, restrict_map, shifted_sum, split)
+from .derived import (ChainMap, Complex, cone, derived_hom_graded, glue, is_acyclic, normalize,
+                      presentation_cone, restrict, restrict_map, split)
 from .linalg import FieldSpec, Matrix
-from .rep import all_intervals, interval_presentation, simple
+from .rep import all_intervals, simple
 from .functors import (SerreTable, coxeter_minus, coxeter_plus, reflect_minus_obj,
                        reflect_plus_obj)
 from .shapes import LineQuiver, MeshWindow, Poset, embed_iQ, mesh_map_s, reflection_path
@@ -29,10 +29,6 @@ from .shapes import LineQuiver, MeshWindow, Poset, embed_iQ, mesh_map_s, reflect
 
 def _spectator(q: LineQuiver) -> Poset:
     return q.poset().opposite()
-
-
-def _as_bimodule(left: LineQuiver, right: LineQuiver, c: Complex) -> Bimodule:
-    return Bimodule(left, right, c)
 
 
 def apr_tilt(q: LineQuiver, a: int, field: FieldSpec) -> Tuple[Bimodule, Bimodule]:
@@ -44,7 +40,7 @@ def apr_tilt(q: LineQuiver, a: int, field: FieldSpec) -> Tuple[Bimodule, Bimodul
     _, tplus = reflect_plus_obj(q, a, iq.complex, spectator=_spectator(q))
     iq2 = identity_prof(q2, field)
     _, tminus = reflect_minus_obj(q2, a, iq2.complex, spectator=_spectator(q2))
-    return _as_bimodule(q2, q, tplus), _as_bimodule(q, q2, tminus)
+    return Bimodule(q2, q, tplus), Bimodule(q, q2, tminus)
 
 
 def iter_tilt(q2: LineQuiver, q: LineQuiver, field: FieldSpec) -> Bimodule:
@@ -54,7 +50,7 @@ def iter_tilt(q2: LineQuiver, q: LineQuiver, field: FieldSpec) -> Bimodule:
     cur_q, cur = q, iq.complex
     for a in reflection_path(q, q2):
         cur_q, cur = reflect_plus_obj(cur_q, a, cur, spectator=_spectator(q))
-    return _as_bimodule(q2, q, cur)
+    return Bimodule(q2, q, cur)
 
 
 def coxeter_bimodule(q: LineQuiver, sign: int, field: FieldSpec) -> Bimodule:
@@ -65,7 +61,7 @@ def coxeter_bimodule(q: LineQuiver, sign: int, field: FieldSpec) -> Bimodule:
         out = coxeter_plus(q, iq.complex, spectator=spec)
     else:
         out = coxeter_minus(q, iq.complex, spectator=spec)
-    return _as_bimodule(q, q, out)
+    return Bimodule(q, q, out)
 
 
 def serre_bimodule(q: LineQuiver, field: FieldSpec) -> Bimodule:
@@ -79,7 +75,7 @@ def functor_kernel(q: LineQuiver, fn: Callable, field: FieldSpec,
     I_Q (fn takes (q, complex, spectator) and returns a complex)."""
     iq = identity_prof(q, field)
     out = fn(q, iq.complex, _spectator(q))
-    return _as_bimodule(target or q, q, out)
+    return Bimodule(target or q, q, out)
 
 
 def apply_bimodule(t: Bimodule, q: LineQuiver, x: Complex) -> Complex:
@@ -93,12 +89,13 @@ def apply_bimodule(t: Bimodule, q: LineQuiver, x: Complex) -> Complex:
     interval has the minimal resolution 0 -> P1 -> P0 -> M[i,j] -> 0 of
     rep.interval_presentation.  By Yoneda t (x) P_w is the slice t(-, w),
     and the inclusion P_w ⊂ P_v (v <= w) becomes the action t(-, w) ->
-    t(-, v) of t.  So the result is the cone of one block map from the sum
-    of the P1 slices to the sum of the P0 slices, each shifted by s.
-    cancel_tensor(t, from_left_complex(q, x)) computes the same object from
-    the two-term bimodule resolution of I_Q and is the test reference."""
+    t(-, v) of t.  So the result is derived.presentation_cone of these:
+    the cone of one block map from the sum of the P1 slices to the sum of
+    the P0 slices, each shifted by s.  cancel_tensor(t,
+    from_left_complex(q, x)) computes the same object from the two-term
+    bimodule resolution of I_Q and is the test reference."""
     check_middle(t.right, q)
-    left, field = t.left_poset, t.complex.field
+    left = t.left_poset
 
     @lru_cache(maxsize=None)
     def slice_at(w: int) -> Complex:
@@ -109,33 +106,7 @@ def apply_bimodule(t: Bimodule, q: LineQuiver, x: Complex) -> Complex:
         """t(-, w) -> t(-, v), induced by P_w ⊂ P_v."""
         return restrict_map(t.complex, slice_at(w), slice_at(v), lambda a: (a, w), lambda a: (a, v))
 
-    # parts (slice, shift); entries (P0 part, P1 part, sign * (P_w ⊂ P_v))
-    p0: List[Part] = []
-    p1: List[Part] = []
-    entries: List[Tuple[int, int, int, int, int]] = []
-    for (s, itv, mult) in normalize(q, x).summands:
-        tops, relations = interval_presentation(q, itv)
-        for _ in range(mult):
-            row = {v: len(p0) + k for k, v in enumerate(tops)}
-            p0.extend((slice_at(v), s) for v in tops)
-            for w, into in relations:
-                entries.extend((row[v], len(p1), sign, v, w) for v, sign in into)
-                p1.append((slice_at(w), s))
-    if not p0:
-        return Complex.zero(left, field)
-    tgt = shifted_sum(p0)
-    if not p1:
-        return tgt
-    src = shifted_sum(p1)
-
-    def grid(d: int) -> Grid:
-        out: Grid = [[None] * len(p1) for _ in p0]
-        for row, col, sign, v, w in entries:
-            comp = action(v, w).comp(d - p1[col][1])
-            out[row][col] = comp if sign == 1 else negated(comp)
-        return out
-
-    return cone(block_map(src, p1, tgt, p0, src.degrees(), grid))
+    return presentation_cone(q, normalize(q, x), slice_at, action, left, t.complex.field)[0]
 
 
 # ---------------------------------------------------------------------------

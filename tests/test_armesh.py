@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,12 @@ from meshrep.armesh import (ARDiagram, build_ar, check_flip_sigma,
                             check_mesh_relations, kernel_complex, mesh_hom_table, mesh_object,
                             quotient_complex, stiffen, suspension_orbits)
 from meshrep.bimod import identity_prof
-from meshrep.derived import (ChainMap, Complex, DerivedObject, derived_hom_dim, glue,
-                             homology_rep, normalize, object_complex, split)
+from meshrep.derived import (ChainMap, Complex, DerivedObject, cone, derived_hom_dim, glue,
+                             homology_rep, is_acyclic, normalize, object_complex, split)
 from meshrep.hom_chain import hom_class_data, projective_model
 from meshrep.linalg import GF, Matrix, column_space_basis, complement_projection, rank, solve
-from meshrep.rep import (Interval, Rep, all_intervals, hom_space, interval_module,
+from meshrep.rep import (Interval, Rep, all_intervals, decompose, hom_space,
+                         interval_module, interval_presentation, projective_interval,
                          random_interval_sum)
 from meshrep.functors import serre, transport, transport_embedding
 from meshrep.shapes import (LineQuiver, MeshWindow, all_orientations, default_window,
@@ -309,3 +312,20 @@ def test_hom_class_dim_matches_derived_hom_dim():
                     assert hom_class_data(models[u], object_complex(q, objs[v], F))[0] == want
                     nonzero += want != 0
     assert nonzero == 311
+
+
+def test_projective_model_is_the_minimal_resolution():
+    """For every shifted interval, twice: P0 is one P_v per top and P1 one
+    P_w per relation of interval_presentation, and the augmentation is a
+    quasi-isomorphism."""
+    for n in range(1, 5):
+        for q in all_orientations(n):
+            for itv in all_intervals(n):
+                tops, relations = interval_presentation(q, itv)
+                for s in (0, 1):
+                    p, aug = projective_model(q, DerivedObject.from_dict({(s, itv): 2}), F)
+                    want = {s: Counter(projective_interval(q, v) for v in tops * 2),
+                            s + 1: Counter(projective_interval(q, w) for w, _ in relations * 2)}
+                    assert {d: decompose(q, p.term(d)) for d in p.degrees()} == \
+                        {d: dict(c) for d, c in want.items() if c}
+                    assert is_acyclic(cone(aug))

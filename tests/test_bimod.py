@@ -165,3 +165,34 @@ def test_cancel_tensor_builds_each_action_once(method, monkeypatch):
     n_maps, digest = TENSOR_DIGESTS[method]
     assert len(calls) == n_maps
     assert hashlib.sha256(dumps(complex_to_json(out.complex)).encode()).hexdigest() == digest
+
+
+# sha256 of the serialized external tensor on three inputs with differentials
+# on both sides, shifts and both kinds of field: pins the (i, j) layout, the
+# Kronecker order and the sign (-1)^i on id (x) d of boxtimes
+BOXTIMES_DIGESTS = {
+    "apr": "3f50d588459ad83b1bdfe0a5e65a89f988be605e7aacb002abdfc4ee577cca42",
+    "coxeter-duality": "c517c42e86d81859f88f7f8b3b4e21efb83cdb2de3713512b43b622b623c7652",
+    "apr-q": "87e1aa02158ce4c7cef58e66f7737ec159f846e6496c7af8a87686b08b50bdb2",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOXTIMES_DIGESTS))
+def test_boxtimes_digest(case):
+    import hashlib
+    from meshrep.bimod import boxtimes
+    from meshrep.linalg import QQ
+    from meshrep.serialize import complex_to_json, dumps
+    from meshrep.tilting import apr_tilt, coxeter_bimodule
+    if case == "apr":
+        tp, tm = apr_tilt(LineQuiver.linear(3), 3, F)
+        out = boxtimes(tm, tp)
+    elif case == "coxeter-duality":
+        out = boxtimes(coxeter_bimodule(LineQuiver(3, "FB"), 1, F),
+                       duality_module(LineQuiver(2, "B"), F).shift(1))
+    else:
+        _, tm = apr_tilt(LineQuiver(3, "BF"), 1, QQ)
+        out = boxtimes(tm, identity_prof(LineQuiver(2, "B"), QQ))
+    out.complex.validate()
+    digest = hashlib.sha256(dumps(complex_to_json(out.complex)).encode()).hexdigest()
+    assert digest == BOXTIMES_DIGESTS[case]

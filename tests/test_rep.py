@@ -173,6 +173,15 @@ def test_decompose_rejects_a_rep_over_another_quiver():
     assert decompose(LineQuiver.linear(3), x) == {Interval(1, 3): 1}
 
 
+def test_direct_sum_rejects_another_orientation():
+    """Two shapes on the same vertices with other covers do not add up."""
+    x = interval_module(LineQuiver.linear(3), 1, 3, F)
+    y = interval_module(LineQuiver(3, "BF"), 1, 3, F)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        x.direct_sum(y)
+    assert x.direct_sum(interval_module(LineQuiver.linear(3), 2, 3, F)).dims == {1: 1, 2: 2, 3: 2}
+
+
 def test_decompose_simple_cases():
     q = LineQuiver.linear(2)
     iso = Rep(q.poset(), F, {1: 1, 2: 1}, {(1, 2): Matrix.identity(F, 1)})
