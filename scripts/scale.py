@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Time the census, AR and STC checks beyond the battery's sizes, one line per n.
+"""Time the census, AR, STC and Coxeter checks beyond the battery's sizes, one line per n.
 
 For n = 8, 16 and 24 it times `decompose` over Q and over F5: the median of
 three random interval sums, each over a random orientation of A_n.  For
 n = 5, 6, 7, 8, 10, 12 and 16 it times one `suite_stc(samples=1, ns=[n])`
 call and one build_ar + verify() + normalize round trip on a random interval
-sum over linear A_n.  Every input comes from the battery's default seed.  Opt-in: not
+sum over linear A_n.  For n = 8 and 16 it times coxeter_minus(coxeter_plus(M))
+over every interval module M of linear A_n over F_32003 and checks that each
+returns M.  Every random input comes from the battery's default seed.  Opt-in: not
 part of the tests or the benchmark.
 
     PYTHONPATH=src python3 scripts/scale.py
@@ -20,8 +22,9 @@ import numpy as np
 
 from meshrep.armesh import build_ar
 from meshrep.derived import Complex, normalize
+from meshrep.functors import coxeter_minus, coxeter_plus
 from meshrep.linalg import GF, QQ, FieldSpec
-from meshrep.rep import decompose, random_interval_sum
+from meshrep.rep import all_intervals, decompose, interval_module, random_interval_sum
 from meshrep.shapes import LineQuiver, embed_iQ
 from meshrep.suites import DEFAULT_SEED, suite_stc
 
@@ -49,6 +52,20 @@ def ar_round_trip(n: int, seed: int) -> Tuple[int, bool]:
     return c.total_dim(), ok
 
 
+def coxeter_round_trip(n: int) -> Tuple[float, bool]:
+    """(seconds spent in coxeter_minus(coxeter_plus(M)) over every interval
+    module M of linear A_n, whether each returned M)."""
+    q = LineQuiver.linear(n)
+    secs, ok = 0.0, True
+    for itv in all_intervals(n):
+        c = Complex.from_rep(interval_module(q, itv.i, itv.j, GF()))
+        t0 = time.perf_counter()
+        back = coxeter_minus(q, coxeter_plus(q, c))
+        secs += time.perf_counter() - t0
+        ok = normalize(q, back) == normalize(q, c) and ok
+    return secs, ok
+
+
 def main() -> int:
     failed = False
     for n in (8, 16, 24):
@@ -67,6 +84,11 @@ def main() -> int:
         failed = failed or not (rep.passed and ok)
         print(f"n={n}  stc {t1 - t0:7.2f}s {'PASS' if rep.passed else 'FAIL'}"
               f"  ar (input dim {dim}) {t2 - t1:7.2f}s {'PASS' if ok else 'FAIL'}", flush=True)
+    for n in (8, 16):
+        secs, ok = coxeter_round_trip(n)
+        failed = failed or not ok
+        print(f"n={n}  coxeter- coxeter+ on {n * (n + 1) // 2} intervals {secs:7.2f}s "
+              f"{'PASS' if ok else 'FAIL'}", flush=True)
     return 1 if failed else 0
 
 

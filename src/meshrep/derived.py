@@ -426,7 +426,9 @@ def minimize(c: Complex) -> Complex:
 
     Legitimate up to quasi-isomorphism only over hereditary shapes (line
     quivers); callers over product shapes must not use this.  A complex
-    that stores no differential is its own homology complex.
+    that stores no differential is its own homology complex.  The
+    object-level reflections (functors._reflect_homology, behind
+    reflect_plus/reflect_minus without a spectator) start from it.
     """
     if not c.diffs:
         return c

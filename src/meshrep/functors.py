@@ -2,10 +2,18 @@
 
 All functors act on chain complexes over (line quiver) x (spectator shape);
 with the spectator equal to a point this is the plain derived category of
-the quiver, with spectator Q^op it computes bimodule kernels.  Everything is
-computed at chain level; object-level pipelines renormalize to homology
-between steps (sound over the hereditary line-quiver direction only when
-the spectator is trivial).
+the quiver, with spectator Q^op it computes bimodule kernels.
+
+Two routes compute a reflection.  The chain-level one (reflect_plus_obj,
+reflect_minus_obj, reflect_map) builds the fiber or cone of the map psi at
+the reflected vertex from split, block_map and glue; it serves spectators,
+whose bimodule kernels are not formal over the product, maps, and as the
+test oracle of the other route.  The object-level one (reflect_plus,
+reflect_minus without a spectator, and through them the Coxeter, Serre and
+transport pipelines) replaces the complex by its homology (minimize) and
+reflects each homology rep by the kernel and the cokernel of psi, as
+Bernstein, Gelfand and Ponomarev do: over the hereditary A_n every complex
+is formal, so this is the same object up to quasi-isomorphism.
 """
 
 from __future__ import annotations
@@ -15,8 +23,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .derived import (ChainMap, Complex, DerivedObject, block_map, cone, fiber, glue, identity_at,
                       minimize, negated, normalize, split, vertex_key)
-from .linalg import FieldSpec, Matrix
-from .rep import Interval, all_intervals, interval_module
+from .linalg import FieldSpec, Matrix, kernel_cokernel
+from .rep import Interval, Rep, all_intervals, interval_module
 from .shapes import (LineQuiver, Poset, admissible_sequence, admissible_source_sequence,
                      embed_iQ, reflection_path)
 
@@ -30,9 +38,7 @@ def reflect_plus_obj(q: LineQuiver, a: int, c: Complex,
     """s_a^+ at chain level: the value at the sink a becomes the fiber of the
     map from the sum of its neighbours, with the coordinate projections as the
     new arrows out of the (now source) vertex a."""
-    if not q.is_sink(a):
-        raise ValueError(f"{a} is not a sink of {q}")
-    q2 = q.reflect(a)
+    q2 = _reflected(q, a, plus=True)
     return q2, _reflect_core(q, q2, a, c, spectator, plus=True)
 
 
@@ -41,10 +47,16 @@ def reflect_minus_obj(q: LineQuiver, b: int, c: Complex,
     """s_b^- at chain level: the value at the source b becomes the cone of the
     map into the sum of its neighbours, with the coordinate inclusions as the
     new arrows into the (now sink) vertex b."""
-    if not q.is_source(b):
-        raise ValueError(f"{b} is not a source of {q}")
-    q2 = q.reflect(b)
+    q2 = _reflected(q, b, plus=False)
     return q2, _reflect_core(q, q2, b, c, spectator, plus=False)
+
+
+def _reflected(q: LineQuiver, a: int, plus: bool) -> LineQuiver:
+    """q with the arrows at a reversed, once a is checked to be a sink (plus)
+    or a source (minus)."""
+    if not (q.is_sink(a) if plus else q.is_source(a)):
+        raise ValueError(f"{a} is not a {'sink' if plus else 'source'} of {q}")
+    return q.reflect(a)
 
 
 def _reflect_core(q: LineQuiver, q2: LineQuiver, a: int, c: Complex,
@@ -105,25 +117,69 @@ def reflect_map(q: LineQuiver, a: int, phi: ChainMap,
 
 
 # ---------------------------------------------------------------------------
-# object-level pipelines (with renormalization over the hereditary direction)
+# object-level pipelines: reflections of homology reps
 
 
-def _tidy(q: LineQuiver, c: Complex, spectator: Optional[Poset]) -> Complex:
-    if spectator is None and not c.is_zero_object():
-        return minimize(c)
-    return c
+def _reflect_homology(q: LineQuiver, q2: LineQuiver, a: int, c: Complex, plus: bool) -> Complex:
+    """s_a^+ (plus) or s_a^- of minimize(c), one homology rep H_d at a time,
+    with b1 < b2 the neighbours of a and psi_d the row [H_(b1,a), -H_(b2,a)]
+    (plus) or the column [H_(a,b1); -H_(a,b2)] (minus) of its arrows at a:
+    - plus: the value at a in degree d is ker psi_d + coker psi_(d+1), and
+      each arrow a -> b the rows of block b of the kernel basis, zero on the
+      cokernel;
+    - minus: the value at a in degree d is ker psi_(d-1) + coker psi_d, and
+      each arrow b -> a zero into the kernel and the projection of
+      kernel_cokernel(psi_d) on the columns of block b.
+    Every other value and arrow is H_d's own Matrix.  These are the bases in
+    which minimize reads the homology of the fiber or cone of _reflect_core
+    (kernel first; unit vectors extend im psi), so the result equals
+    minimize(reflect_*_obj(q, a, minimize(c))) matrix for matrix.  Over the
+    hereditary A_n, c is quasi-isomorphic to minimize(c), so both are s_a^±(c)."""
+    m, nbrs, f = minimize(c), sorted(q.neighbors(a)), c.field
+    ker, proj = {}, {}
+    for d, h in m.terms.items():
+        blocks = [h.mats[(b, a) if plus else (a, b)] for b in nbrs]
+        blocks[1:] = [-x for x in blocks[1:]]
+        psi = (Matrix.hstack(f, blocks, nrows=h.dims[a]) if plus
+               else Matrix.vstack(f, blocks, ncols=h.dims[a]))
+        ker[d], proj[d] = kernel_cokernel(psi)
+    lag = 0 if plus else 1  # degree d holds ker psi_(d-lag) + coker psi_(d+1-lag)
+    terms = {}
+    for d in sorted({e + s for e in ker for s in (lag - 1, lag)}):
+        h, k, p = m.term(d), ker.get(d - lag), proj.get(d + 1 - lag)
+        nk, nc = (k.ncols if k is not None else 0), (p.nrows if p is not None else 0)
+        mats, start = dict(h.mats), 0
+        for b in nbrs:  # block b of psi's columns (plus) or rows (minus) is H_d at b
+            w = h.dims[b]
+            if w and plus:
+                mats[(a, b)] = Matrix.block(f, [[k.submatrix(range(start, start + w), range(nk)), None]],
+                                            [w], [nk, nc])
+            elif w:
+                mats[(b, a)] = Matrix.block(f, [[None], [p.submatrix(range(nc), range(start, start + w))]],
+                                            [nk, nc], [w])
+            start += w
+        terms[d] = Rep(q2.poset(), f, {**h.dims, a: nk + nc}, mats, validate=False)
+    return Complex(q2.poset(), f, terms, {}, validate=False)
 
 
 def reflect_plus(q: LineQuiver, a: int, c: Complex,
                  spectator: Optional[Poset] = None) -> Tuple[LineQuiver, Complex]:
-    q2, out = reflect_plus_obj(q, a, c, spectator)
-    return q2, _tidy(q2, out, spectator)
+    """s_a^+ on objects: _reflect_homology without a spectator, with zero
+    differentials; reflect_plus_obj over a spectator."""
+    if spectator is not None:
+        return reflect_plus_obj(q, a, c, spectator)
+    q2 = _reflected(q, a, plus=True)
+    return q2, _reflect_homology(q, q2, a, c, plus=True)
 
 
 def reflect_minus(q: LineQuiver, b: int, c: Complex,
                   spectator: Optional[Poset] = None) -> Tuple[LineQuiver, Complex]:
-    q2, out = reflect_minus_obj(q, b, c, spectator)
-    return q2, _tidy(q2, out, spectator)
+    """s_b^- on objects: _reflect_homology without a spectator, with zero
+    differentials; reflect_minus_obj over a spectator."""
+    if spectator is not None:
+        return reflect_minus_obj(q, b, c, spectator)
+    q2 = _reflected(q, b, plus=False)
+    return q2, _reflect_homology(q, q2, b, c, plus=False)
 
 
 def coxeter_plus(q: LineQuiver, c: Complex, spectator: Optional[Poset] = None,

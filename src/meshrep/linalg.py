@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -525,17 +526,37 @@ def kernel_basis(m: Matrix) -> Matrix:
     """Columns span ker(m); column count = ncols - rank."""
     if m.nrows == 0:
         return Matrix.identity(m.field, m.ncols)
-    red, pivots = rref(m)
-    n, pivot_set = m.ncols, set(pivots)
+    return _kernel_of_rref(*rref(m), m.ncols)
+
+
+def _kernel_of_rref(red: Matrix, pivots: List[int], n: int) -> Matrix:
+    """The kernel basis of the matrix whose rref is the first n columns of
+    red, pivots its pivots among them."""
+    pivot_set, w = set(pivots), red.ncols
     free = [c for c in range(n) if c not in pivot_set]
     k, vals = len(free), _entries(red)
-    zero, one = (Fraction(0), Fraction(1)) if m.field.p is None else (0, 1)
+    zero, one = (Fraction(0), Fraction(1)) if red.field.p is None else (0, 1)
     out = [zero] * (n * k)  # column t is e_f - sum_i red[i, f] e_(pivot i), f = free[t]
     for t, f in enumerate(free):
         out[f * k + t] = one
         for i, pc in enumerate(pivots):
-            out[pc * k + t] = -vals[i * n + f]
-    return _from_vals(m.field, n, k, out)
+            out[pc * k + t] = -vals[i * w + f]
+    return _from_vals(red.field, n, k, out)
+
+
+def kernel_cokernel(m: Matrix) -> Tuple[Matrix, Matrix]:
+    """(kernel_basis(m), proj) from the one elimination rref([m | I]), proj
+    being complement_projection's proj for a basis of im m: the projection
+    onto the complement spanned by the unit vectors that extend im m, along im m.
+
+    The left block of rref([m | I]) is rref(m) above zero rows, and the rank
+    r of m is the number of pivots in it.  The other pivots are those unit
+    vectors, one per row below r, so the right block of those rows vanishes
+    on im m and is the identity on the unit vectors: it is proj."""
+    n, k = m.nrows, m.ncols
+    red, pivots = rref(Matrix.hstack(m.field, [m, Matrix.identity(m.field, n)], nrows=n))
+    r = bisect_left(pivots, k)
+    return _kernel_of_rref(red, pivots[:r], k), red.submatrix(range(r, n), range(k, k + n))
 
 
 def solve(m: Matrix, b: Matrix) -> Optional[Matrix]:

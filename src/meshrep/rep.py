@@ -100,7 +100,7 @@ class Rep:
                         reached[v] = m
 
     def is_zero(self) -> bool:
-        return all(d == 0 for d in self.dims.values())
+        return not any(self.dims.values())  # dims are never negative
 
     def __eq__(self, other):
         return (isinstance(other, Rep) and self.shape.elements == other.shape.elements

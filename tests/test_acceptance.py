@@ -96,6 +96,20 @@ def test_reflections_fail_when_split_loses_an_arrow(monkeypatch):
     assert not rep.passed and rep.detail == "s- s+ != id", rep.line()
 
 
+def test_homology_route_fails_when_the_cokernel_is_dropped(monkeypatch):
+    """Mutation: object-level reflections that drop the cokernel summand
+    (a projection onto nothing) make kernels FAIL on coxeter+ and
+    reflections FAIL on s- s+."""
+    from meshrep import functors
+    from meshrep.linalg import Matrix, kernel_cokernel
+    monkeypatch.setattr(functors, "kernel_cokernel", lambda psi: (
+        kernel_cokernel(psi)[0], Matrix.zeros(psi.field, 0, psi.nrows)))
+    rep = suites.suite_kernels(seed=DEFAULT_SEED, nmax=2, oracle_pairs=0)
+    assert not rep.passed and rep.detail == "kernel disagrees with coxeter+", rep.line()
+    rep = suites.suite_reflections(seed=DEFAULT_SEED, nmax=3)
+    assert not rep.passed and rep.detail == "s- s+ != id", rep.line()
+
+
 def test_criterion_04_fractional_calabi_yau():
     """S^(n+1) = Sigma^(n-1) for n = 2..6; S^2 != Sigma at n = 3."""
     _run("frac-cy")

@@ -1,11 +1,13 @@
 import hashlib
 import json
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meshrep.bimod import identity_prof
-from meshrep.derived import (ChainMap, Complex, DerivedObject, cone, normalize,
+from meshrep.derived import (ChainMap, Complex, DerivedObject, cone, minimize, normalize,
                              object_complex)
 from meshrep.linalg import GF, QQ, Matrix
 from meshrep.rep import (Interval, all_intervals, hom_space, interval_module,
@@ -83,6 +85,79 @@ def test_commuting_sinks():
         qba, cba = reflect_plus(qb, 2, cb)
         assert qab == qba
         assert normalize(qab, cab) == normalize(qba, cba)
+
+
+def _route_inputs(q, field, rng, ndeg):
+    """A random interval sum in each of the degrees 0..ndeg-1, the cone of a
+    nonzero map between two random interval sums (a nonzero differential),
+    and the zero complex."""
+    def rand():
+        return random_interval_sum(q, field, rng, max_total=3)[0]
+
+    spread = reduce(Complex.direct_sum, [Complex.from_rep(rand()).shift(d) for d in range(ndeg)])
+    x = rand()
+    y = rand().direct_sum(x)  # so that Hom(x, y) is not zero
+    basis = hom_space(x, y)
+    phi = {e: reduce(lambda m1, m2: m1 + m2, [b[e] for b in basis]) for e in q.vertices}
+    return [spread, cone(ChainMap(Complex.from_rep(x), Complex.from_rep(y), {0: phi})),
+            Complex.zero(q.poset(), field)]
+
+
+def _check_routes(q, field, rng, ndeg):
+    """At every sink and source, reflect_plus and reflect_minus give the
+    normal form of the chain-level reflection of c, and matrix for matrix
+    minimize of the chain-level reflection of minimize(c).  An input with no
+    differential is its own minimize(c), and each arrow away from the
+    reflected vertex is then the input's own Matrix."""
+    for c in _route_inputs(q, field, rng, ndeg):
+        m = minimize(c)
+        for a, new, chain in ([(a, reflect_plus, reflect_plus_obj) for a in q.sinks()]
+                              + [(b, reflect_minus, reflect_minus_obj) for b in q.sources()]):
+            q2, got = new(q, a, c)
+            q3, want = chain(q, a, c)
+            assert q2 == q3 and not got.diffs
+            assert normalize(q2, got) == normalize(q2, want)
+            exact = minimize(chain(q, a, m)[1])
+            assert got.degrees() == exact.degrees()
+            for d in got.degrees():
+                assert got.term(d) == exact.term(d)
+                for cov in q2.arrows() if not c.diffs else []:
+                    if a not in cov:
+                        assert got.term(d).mats[cov] is c.term(d).mats[cov]
+
+
+ROUTE_FIELDS = [GF(2), GF(3), GF(32003), QQ]
+
+
+@pytest.mark.parametrize("field", ROUTE_FIELDS, ids=str)
+def test_homology_route_matches_the_chain_route_in_every_orientation(field):
+    rng = np.random.default_rng(19)
+    for n in range(1, 6):
+        for i, q in enumerate(all_orientations(n)):
+            _check_routes(q, field, rng, 2 + i % 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(ROUTE_FIELDS), st.integers(1, 5), st.integers(2, 3),
+       st.integers(0, 10**6), st.data())
+def test_homology_route_matches_the_chain_route(field, n, ndeg, seed, data):
+    q = data.draw(st.sampled_from(all_orientations(n)))
+    _check_routes(q, field, np.random.default_rng(seed), ndeg)
+
+
+def test_object_reflections_raise_as_the_chain_level_ones():
+    """A vertex that is not a sink (source) given to reflect_plus
+    (reflect_minus) raises the ValueError of reflect_plus_obj (reflect_minus_obj)."""
+    q = LineQuiver.linear(3)
+    c = interval_complex(q, 1, 3)
+    for a, new, chain in ((1, reflect_plus, reflect_plus_obj), (2, reflect_plus, reflect_plus_obj),
+                          (2, reflect_minus, reflect_minus_obj), (3, reflect_minus, reflect_minus_obj)):
+        errors = []
+        for route in (new, chain):
+            with pytest.raises(ValueError) as err:
+                route(q, a, c)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1] == f"{a} is not a {'sink' if new is reflect_plus else 'source'} of {q}"
 
 
 def test_coxeter_examples():

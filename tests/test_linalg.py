@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from meshrep.linalg import (
     GF, MAX_PRIME, QQ, FieldSpec, Matrix, _gauss_jordan, column_space_basis, complement_columns,
-    complement_projection, inverse, is_invertible, kernel_basis, rank, rref, solve, split_vector,
-    sylvester_system,
+    complement_projection, inverse, is_invertible, kernel_basis, kernel_cokernel, rank, rref, solve,
+    split_vector, sylvester_system,
 )
 
 FIELDS = [QQ, GF(5), GF(32003)]
@@ -394,6 +394,22 @@ def test_complement_columns_extend_the_span(nr, ns, nc, fidx, data):
     proj, sec = complement_projection(sub)
     assert (proj @ sub).is_zero()
     assert proj @ sec == Matrix.identity(field, nr - sub.ncols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 3), st.sampled_from([1, 2, 5]),
+       st.data())
+def test_kernel_cokernel_is_one_elimination_of_both(nr, nc, fidx, rank_cap, data):
+    """kernel_cokernel(m) is kernel_basis(m) with complement_projection's
+    projection for a basis of im m, over F2 too, on matrices of every small
+    rank and with no rows or no columns."""
+    field = (FIELDS + [GF(2)])[fidx]
+    rng = np.random.default_rng(data.draw(st.integers(0, 10 ** 6)))
+    r = min(rank_cap, nr, nc)  # m = left @ right has rank at most r
+    m = Matrix.random(field, nr, r, rng) @ Matrix.random(field, r, nc, rng)
+    ker, proj = kernel_cokernel(m)
+    assert ker == kernel_basis(m)
+    assert proj == complement_projection(column_space_basis(m))[0]
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5), GF(32003)], ids=str)

@@ -147,6 +147,7 @@ def test_cli_tilt_sign_is_one_or_minus_one():
     ["reflect", "-q", "A3", "-a", "3", "--interval", "2"],
     ["reflect", "-q", "A3", "-a", "3", "--interval", "3,1"],
     ["reflect", "-q", "A3", "-a", "7", "--interval", "1,1"],
+    ["reflect", "-q", "A3", "-a", "2", "--interval", "1,1"],
     ["tensor", "-q", "A3", "--interval", "0,1"],
     ["tilt", "-q", "A3", "--kind", "apr", "-a", "1"],
     ["tilt", "-q", "A3", "--kind", "apr", "-a", "9"],

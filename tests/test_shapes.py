@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from meshrep import shapes as sh
 from meshrep.derived import Complex
-from meshrep.functors import reflect_minus_obj, reflect_plus_obj
+from meshrep.functors import reflect_minus, reflect_minus_obj, reflect_plus, reflect_plus_obj
 from meshrep.linalg import GF
 from meshrep.rep import interval_module
 from meshrep.shapes import (
@@ -37,7 +37,8 @@ def test_vertices_outside_the_quiver_are_rejected(v):
     q = LineQuiver.linear(3)
     c = Complex.from_rep(interval_module(q, 1, 1, GF(5)))
     for call in (q.is_sink, q.is_source, q.reflect, lambda a: reflect_plus_obj(q, a, c),
-                 lambda a: reflect_minus_obj(q, a, c)):
+                 lambda a: reflect_minus_obj(q, a, c), lambda a: reflect_plus(q, a, c),
+                 lambda a: reflect_minus(q, a, c)):
         with pytest.raises(ValueError, match=f"vertex {v} is not in 1..3"):
             call(v)
     assert q.sinks() == [3] and q.sources() == [1]
