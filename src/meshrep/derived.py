@@ -13,8 +13,8 @@ from functools import reduce
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .linalg import FieldSpec, Matrix, kernel_basis, rref, solve
-from .rep import (Interval, Rep, decompose, hom_dim, interval_module, interval_presentation,
-                  direct_sum)
+from .rep import (Interval, Rep, all_intervals, decompose, direct_sum, euler_form, interval_module,
+                  interval_presentation)
 from .shapes import Element, LineQuiver, Poset, point_poset
 
 RepMap = Dict[Element, Matrix]
@@ -554,38 +554,32 @@ def presentation_cone(q: LineQuiver, obj: DerivedObject, value: Callable[[int], 
 # derived hom dimensions between canonical forms
 
 
-def _interval_hom_tables(q: LineQuiver, field: FieldSpec) -> Tuple[Dict, Dict]:
-    homs: Dict[Tuple[Interval, Interval], int] = {}
-    exts: Dict[Tuple[Interval, Interval], int] = {}
-    from .rep import all_intervals
-    mods = {itv: interval_module(q, itv.i, itv.j, field) for itv in all_intervals(q.n)}
-    for a, x in mods.items():
-        for b, y in mods.items():
-            h = hom_dim(x, y)
-            homs[(a, b)] = h
-            exts[(a, b)] = h - sum(x.dims[v] * y.dims[v] for v in q.vertices) \
-                + sum(x.dims[u] * y.dims[v] for (u, v) in q.arrows())
-    return homs, exts
-
-
 _HOM_CACHE: Dict[Tuple[int, str], Tuple[Dict, Dict]] = {}
 
 
 def interval_hom_tables(q: LineQuiver) -> Tuple[Dict, Dict]:
     """(dim Hom, dim Ext^1) between all pairs of interval modules over q,
-    computed once per quiver over GF() and cached without the field.
-
-    Leaving the field out is sound: these dimensions do not depend on it.
-    An interval module has identity maps inside its support over every
-    field, so a hom x -> y is one scalar per vertex of both supports, and
-    each arrow a -> b asks [a in supp y] s_a = [b in supp x] s_b: two
-    scalars equal, or one zero.  Such equations have a solution space of the
-    same dimension over every field, and dim Ext^1 is dim Hom minus the
-    Euler form, a sum over dimension vectors."""
+    read from the supports once per quiver, over every field.  A hom M[a,b]
+    -> M[c,d] is one scalar on the overlap I of the supports (an interval,
+    on which both modules are the identity), zero elsewhere; the neighbour w
+    outside an end of I forces it to zero when an arrow w -> I starts in
+    [a,b] or an arrow I -> w ends in [c,d].  dim Ext^1 is dim Hom minus the
+    Euler form of the indicator dimension vectors."""
     key = (q.n, q.orientation)
     if key not in _HOM_CACHE:
-        from .linalg import GF
-        _HOM_CACHE[key] = _interval_hom_tables(q, GF())
+        homs: Dict[Tuple[Interval, Interval], int] = {}
+        exts: Dict[Tuple[Interval, Interval], int] = {}
+        itvs, path = all_intervals(q.n), q.poset()
+        dims = {itv: {v: int(itv.i <= v <= itv.j) for v in q.vertices} for itv in itvs}
+        for x in itvs:
+            for y in itvs:
+                lo, hi = max(x.i, y.i), min(x.j, y.j)
+                h = int(lo <= hi and not any(
+                    path.leq(w, end) and x.i <= w <= x.j or path.leq(end, w) and y.i <= w <= y.j
+                    for end, w in ((lo, lo - 1), (hi, hi + 1)) if w in q.vertices))
+                homs[(x, y)] = h
+                exts[(x, y)] = h - euler_form(q, dims[x], dims[y])
+        _HOM_CACHE[key] = homs, exts
     return _HOM_CACHE[key]
 
 

@@ -11,8 +11,8 @@ triangle is distinguished iff its boundary vanishes, its phi agrees with
 the canonical phi of its own diagram, and it is naturally isomorphic on
 homology to the standard triangle of its base.  That comparison reads only
 homology, so its reference is a block sum of per-interval records (the
-standard triangle of each interval module read on homology, built once per
-field and quiver): the base is the sum of the shifted intervals of its
+standard triangle of each interval module read on homology, a thin hammock
+in closed form): the base is the sum of the shifted intervals of its
 homology (Happel), the standard triangle is additive in the base, and it
 commutes with Sigma, which moves the degrees of the record and adds no sign.
 """
@@ -32,7 +32,7 @@ from .derived import (ChainMap, Complex, glue, homology_basis, homology_coordina
 from .linalg import (FieldSpec, Matrix, is_invertible, kernel_basis, solve, split_vector,
                      sylvester_system)
 from .linalg import rref  # noqa: F401  perfbench checks that its tracer wraps this binding
-from .rep import Interval, interval_module
+from .rep import Interval
 from .shapes import (LineQuiver, MeshWindow, embed_iQ, induced_alpha, mesh_leq, mesh_map_f,
                      mesh_map_t)
 
@@ -332,42 +332,44 @@ class HomologyTriangle:
         return self.arrows[cov]
 
 
-def homology_record(t: NTriangle) -> Tuple[Dict[Tuple[int, ...], int],
-                                             Dict[Tuple[int, ...], Matrix]]:
-    """A standard triangle read on homology on its interior, flat and sparse:
-    dims[(k, l, d)] = dim H_d at (k, l), and maps[(k, l, k', l', d)] = the
-    map out of H_d at (k, l) along the cover (k, l) -> (k', l') or, for
-    (k', l') = f(k, l), which is never the head of a cover, phi.  Entries
-    of zero size are left out, and equal maps are one Matrix: a dict per
-    vertex and cover would hold several times the bytes."""
-    dims, maps, shared = {}, {}, {}
-    verts = set(t.interior())
-    for v in verts:
-        for d, k in t.hdim(v).items():
-            dims[(*v, d)] = k
-    for a, b in _covers_of(verts, t.n):
-        for d, m in t.arrow_h((a, b)).items():
-            maps[(*a, *b, d)] = shared.setdefault(m, m)
-    for v, ms in t.phi.items():
-        for d, m in ms.items():
-            maps[(*v, *mesh_map_f(t.n, v), d)] = shared.setdefault(m, m)
-    return dims, maps
-
-
-# The homology record of the standard triangle of each interval module on
-# build_ar's default window: at most n(n+1)/2 per field and quiver.
-_INTERVAL_RECORDS: Dict[Tuple[Optional[int], LineQuiver, Interval],
-                        Tuple[Dict[Tuple[int, ...], int], Dict[Tuple[int, ...], Matrix]]] = {}
+def _hammock_degree(n: int, a: int, b: int, s: int, v: Vertex) -> Optional[int]:
+    """The degree of H at v = (k, l) in the standard triangle of Sigma^s M[a, b]
+    over linear A_n, the hammock (a, b, s); None where H is zero.  H is that of
+    X_{k,k+l} = cof(X_k -> X_{k+l}), X_0 = X_{n+1} = 0, brought into 0 <= i <=
+    j <= n + 1 by X_{i,j} = Sigma^-1 X_{j,i+n+1} = Sigma X_{j-n-1,i}: it is k,
+    in degree s + [i in [a, b]], when exactly one of i, j lies in [a, b]."""
+    i, j = v[0], v[0] + v[1]
+    while i < 0:
+        i, j, s = j, i + n + 1, s - 1
+    while j > n + 1:
+        i, j, s = j - n - 1, i, s + 1
+    inside = a <= i <= b
+    return s + inside if inside != (a <= j <= b) else None
 
 
 def _interval_record(q: LineQuiver, itv: Interval, field: FieldSpec
                      ) -> Tuple[Dict[Tuple[int, ...], int], Dict[Tuple[int, ...], Matrix]]:
-    key = (field.p, q, itv)
-    got = _INTERVAL_RECORDS.get(key)
-    if got is None:
-        x = Complex.from_rep(interval_module(q, itv.i, itv.j, field))
-        got = _INTERVAL_RECORDS[key] = homology_record(standard_triangle(q, x))
-    return got
+    """The standard triangle of M[i, j] over q on build_ar's default window,
+    read on homology, flat and sparse: dims[(k, l, d)] = dim H_d at (k, l),
+    and maps[(k, l, k', l', d)] = the map out of H_d at (k, l) along the
+    cover (k, l) -> (k', l') or, for (k', l') = f(k, l), phi.  It is the
+    thin hammock (a, b, s) whose degrees along embed_iQ(q) are M[i, j] in
+    degree 0, every map the shared 1x1 identity (see is_distinguished)."""
+    n, emb = q.n, embed_iQ(q)
+    want = {v: 0 if itv.i <= v <= itv.j else None for v in q.vertices}
+    hammocks = [(a, b, -d) for a, b in itertools.combinations_with_replacement(q.vertices, 2)
+                for d in [_hammock_degree(n, a, b, 0, emb[itv.i])] if d is not None
+                and all(_hammock_degree(n, a, b, -d, emb[v]) == want[v] for v in q.vertices)]
+    if len(hammocks) != 1:
+        raise RuntimeError(f"{len(hammocks)} hammocks of linear A{n} restrict to {itv} over {q}")
+    win = ar_window(n, emb)
+    degs = {v: _hammock_degree(n, *hammocks[0], v) for v in win.interior()}
+    one = Matrix.identity(field, 1)
+    maps = {(*a, *b, degs[a]): one for a, b in _covers_of(set(degs), n)
+            if degs[a] is not None and degs[a] == degs[b]}
+    maps.update({(*v, *mesh_map_f(n, v), d): one for v, d in degs.items()
+                 if d is not None and all(u in win for u in _rectangle(n, v))})
+    return {(*v, d): 1 for v, d in degs.items() if d is not None}, maps
 
 
 def standard_homology(q: LineQuiver, x: Complex) -> HomologyTriangle:
@@ -401,11 +403,8 @@ def standard_homology(q: LineQuiver, x: Complex) -> HomologyTriangle:
         return out
 
     arrows = {c: summed(*c, 0) for c in _covers_of(verts, n)}
-    phi = {}
-    for v in verts:
-        fv, c1, c2 = _rectangle(n, v)
-        if fv in win and c1 in win and c2 in win:
-            phi[v] = summed(v, fv, 1)
+    phi = {v: summed(v, mesh_map_f(n, v), 1) for v in verts
+           if all(u in win for u in _rectangle(n, v))}
     return HomologyTriangle(n, field, verts, hdims, arrows, phi)
 
 
@@ -536,7 +535,12 @@ def is_distinguished(t: NTriangle, seed: int = 0) -> bool:
       sum of the summands' triangles on homology;
     - it commutes with the shift: the standard triangle of Sigma^s M is that
       of M with every degree moved up by s, with no sign on the homology
-      maps or on phi."""
+      maps or on phi;
+    - that of an interval module is a thin hammock (Groth-Stovicek; Happel):
+      each X_{i,j} is k or 0, each map between two k of one degree, and phi,
+      is +-1, and these commute (mesh squares, naturality of phi), so their
+      signs form a coboundary and rescaling each H_d by a sign is an
+      isomorphism onto the record of _interval_record, every map 1."""
     if not t.boundary_vanishes() or not t.phi_invertible():
         return False
     ok, _ = phi_is_canonical(t)

@@ -148,12 +148,12 @@ class LineQuiver:
             raise ValueError(f"vertex {v} is not in 1..{self.n}")
 
     def is_sink(self, v: int) -> bool:
-        self._check_vertex(v)
-        return all(t == v for (s, t) in self.arrows() if v in (s, t))
+        self._check_vertex(v)  # the edges beside v are the letters v - 2 and v - 1
+        return self.orientation[max(v - 2, 0):v - 1] != "B" and self.orientation[v - 1:v] != "F"
 
     def is_source(self, v: int) -> bool:
         self._check_vertex(v)
-        return all(s == v for (s, t) in self.arrows() if v in (s, t))
+        return self.orientation[max(v - 2, 0):v - 1] != "F" and self.orientation[v - 1:v] != "B"
 
     def sinks(self) -> List[int]:
         return [v for v in self.vertices if self.is_sink(v)]

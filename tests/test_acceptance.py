@@ -267,6 +267,36 @@ def test_criterion_13_higher_triangulation():
     _run("stc")
 
 
+@pytest.mark.parametrize("bend,fires", [("one phi", True), ("one arrow", True), ("every phi", False)])
+def test_stc_fails_when_one_interval_record_is_bent(monkeypatch, bend, fires):
+    """Negative control: each interval record of the reference of
+    is_distinguished with phi negated at one vertex, or with the map of one
+    cover zeroed, makes stc FAIL at its first standard triangle.  Negating
+    every phi does not fire, and must not: rescaling H_d by (-1)^d at every
+    vertex keeps each cover and negates each phi, so it is an isomorphism
+    from a record to its copy with every phi negated."""
+    from meshrep import highertri
+    from meshrep.linalg import Matrix
+    from meshrep.shapes import mesh_map_f
+    record = highertri._interval_record
+
+    def bent(q, itv, field):
+        dims, maps = record(q, itv, field)
+        phis = [key for key in maps if key[2:4] == mesh_map_f(q.n, key[:2])]
+        if bend == "one phi":
+            return dims, {**maps, min(phis): -maps[min(phis)]}
+        if bend == "one arrow":
+            return dims, {**maps, min(maps.keys() - set(phis)): Matrix.zeros(field, 1, 1)}
+        return dims, {**maps, **{key: -maps[key] for key in phis}}
+
+    monkeypatch.setattr(highertri, "_interval_record", bent)
+    rep = suites.suite_stc(seed=DEFAULT_SEED, samples=1)
+    if fires:
+        assert not rep.passed and rep.detail == "standard triangle not distinguished (STC1)", rep.line()
+    else:
+        assert rep.passed, rep.line()
+
+
 def test_extra_d4_square_invertibility():
     _run("d4-square")
 

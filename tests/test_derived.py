@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from meshrep.derived import (
     ChainMap, Complex, DerivedObject, Square, cone, cone_inclusion,
     cone_projection, derived_hom_dim, fiber, fiber_projection, glue, homology_basis,
-    homology_coordinates, homology_dims, homology_rep, is_acyclic, is_bicartesian, linear_dual_complex,
+    homology_coordinates, homology_dims, homology_rep, interval_hom_tables, is_acyclic, is_bicartesian,
+    linear_dual_complex,
     mapping_cylinder, mapping_path, minimize, normalize, object_complex, restrict, split,
 )
 from meshrep.armesh import build_ar, merge_window_complex, pullback, pushout
@@ -17,8 +18,8 @@ from meshrep.functors import reflect_plus_obj
 from meshrep.hom_chain import tuple_into_sum
 from meshrep.linalg import (GF, QQ, Matrix, column_space_basis, complement_columns, kernel_basis,
                             rank, solve)
-from meshrep.rep import (Interval, Rep, decompose, hom_space, interval_module, random_interval_sum,
-                         random_rep)
+from meshrep.rep import (Interval, Rep, all_intervals, decompose, ext1_dim, hom_dim, hom_space,
+                         interval_module, random_interval_sum, random_rep)
 from meshrep.serialize import complex_to_json, matrix_to_json
 from meshrep.shapes import LineQuiver, all_orientations, point_poset
 
@@ -123,6 +124,21 @@ def test_derived_hom_examples():
     anything = DerivedObject.from_dict({(2, Interval(1, 2)): 1})
     m12 = DerivedObject.from_dict({(0, Interval(1, 2)): 1})
     assert derived_hom_dim(q, m12, anything, 0) == 0
+
+
+def test_interval_hom_tables_match_elimination():
+    """dim Hom and dim Ext^1 read from the supports equal hom_dim and
+    ext1_dim, one elimination per pair, for every pair of interval modules
+    over every orientation with n <= 6."""
+    field = GF(5)
+    for n in range(1, 7):
+        for q in all_orientations(n):
+            homs, exts = interval_hom_tables(q)
+            mods = {itv: interval_module(q, itv.i, itv.j, field) for itv in all_intervals(n)}
+            for a, x in mods.items():
+                for b, y in mods.items():
+                    assert homs[(a, b)] == hom_dim(x, y), (q, a, b)
+                    assert exts[(a, b)] == ext1_dim(q, x, y), (q, a, b)
 
 
 def test_derived_hom_rotation_invariance():

@@ -5,11 +5,12 @@ from meshrep import highertri
 from meshrep.derived import ChainMap, Complex, cone, normalize
 from meshrep.highertri import (HomologyTriangle, NTriangle, base, canonical_phi, extend_morphism,
                                fill_base, find_triangle_morphism, flip, flip_without_sign,
-                               homology_matrix, homology_record, inverse_image, is_distinguished,
-                               phi_is_canonical, standard_homology, standard_triangle, translate)
+                               homology_matrix, inverse_image, is_distinguished, phi_is_canonical,
+                               standard_homology, standard_triangle, translate)
 from meshrep.linalg import GF, QQ, Matrix, inverse, is_invertible
-from meshrep.rep import Rep, all_intervals, hom_space, interval_module, random_interval_sum
-from meshrep.shapes import LineQuiver, MeshWindow, default_window, mesh_map_f, mesh_map_f_inv
+from meshrep.rep import Interval, Rep, all_intervals, hom_space, interval_module, random_interval_sum
+from meshrep.shapes import (LineQuiver, MeshWindow, all_orientations, default_window, mesh_map_f,
+                            mesh_map_f_inv)
 
 F = GF(32003)
 
@@ -254,6 +255,94 @@ def test_is_distinguished_matches_rebuild_route(field):
         if t.boundary_vanishes() and t.phi_invertible() and phi_is_canonical(t)[0]:
             seen.add(got)
     assert seen == {True, False}
+
+
+def homology_record(t: NTriangle):
+    """The reference for highertri._interval_record: a built triangle read on
+    homology on its interior, flat and sparse: dims[(k, l, d)] = dim H_d at
+    (k, l), and maps[(k, l, k', l', d)] = the map out of H_d at (k, l) along
+    the cover (k, l) -> (k', l') or, for (k', l') = f(k, l), phi.  Entries of
+    zero size are left out."""
+    dims, maps = {}, {}
+    verts = set(t.interior())
+    for v in verts:
+        for d, k in t.hdim(v).items():
+            dims[(*v, d)] = k
+    for a, b in highertri._covers_of(verts, t.n):
+        for d, m in t.arrow_h((a, b)).items():
+            maps[(*a, *b, d)] = m
+    for v, ms in t.phi.items():
+        for d, m in ms.items():
+            maps[(*v, *mesh_map_f(t.n, v), d)] = m
+    return dims, maps
+
+
+def sign_coboundary(n, dims, maps, one):
+    """Signs eps on the slots (k, l, d) of dims with maps[(*a, *b, d)] =
+    eps[(*b, e)] eps[(*a, d)] one for every map, e = d + 1 for phi and d for
+    a cover; None when the maps are not +-one or no such signs exist.  Then
+    H_d at v rescaled by eps[(*v, d)] is an isomorphism from the record with
+    every map one to the record of maps."""
+    edges = {slot: [] for slot in dims}
+    for (k, l, k2, l2, d), m in maps.items():
+        if m not in (one, -one):
+            return None
+        head = (k2, l2, d + 1 if (k2, l2) == mesh_map_f(n, (k, l)) else d)
+        sign = 1 if m == one else -1
+        edges[(k, l, d)].append((head, sign))
+        edges[head].append(((k, l, d), sign))
+    eps = {}
+    for start in dims:
+        if start in eps:
+            continue
+        eps[start], todo = 1, [start]
+        while todo:
+            u = todo.pop()
+            for w, sign in edges[u]:
+                if w not in eps:
+                    eps[w] = eps[u] * sign
+                    todo.append(w)
+                elif eps[w] != eps[u] * sign:
+                    return None
+    return eps
+
+
+@pytest.mark.parametrize("field,nmax", [(F, 5), (GF(2), 4), (GF(3), 4), (QQ, 4)], ids=str)
+def test_interval_record_is_the_built_record_up_to_signs(field, nmax):
+    """The closed-form record of every interval module over every orientation
+    of A_n has the dimensions and map keys of its standard triangle, built
+    and read on homology; every closed-form map is the 1x1 identity, and the
+    built maps are +-1 with signs that form a coboundary, so the two records
+    are isomorphic compatibly with the arrows and phi."""
+    one = Matrix.identity(field, 1)
+    for n in range(1, nmax + 1):
+        for q in all_orientations(n):
+            for itv in all_intervals(n):
+                x = Complex.from_rep(interval_module(q, itv.i, itv.j, field))
+                dims, maps = homology_record(standard_triangle(q, x))
+                got_dims, got_maps = highertri._interval_record(q, itv, field)
+                assert got_dims == dims and got_maps.keys() == maps.keys(), (q, itv)
+                assert all(m is one for m in got_maps.values())
+                assert sign_coboundary(n, dims, maps, one) is not None, (q, itv)
+
+
+def test_interval_record_without_its_hammock_is_an_error(monkeypatch):
+    """An embedding that no linear hammock restricts to (both vertices on
+    one mesh vertex) raises instead of giving some record."""
+    monkeypatch.setattr(highertri, "embed_iQ", lambda q: {v: (0, 1) for v in q.vertices})
+    with pytest.raises(RuntimeError, match="0 hammocks of linear A2 restrict to M"):
+        highertri._interval_record(LineQuiver.linear(2), Interval(1, 1), F)
+
+
+def test_sign_coboundary_sees_a_twisted_square():
+    """The coboundary check of the record oracle fails when one built map of
+    a record is negated: a sign that no rescaling undoes."""
+    q = LineQuiver.linear(3)
+    dims, maps = homology_record(standard_triangle(q, Complex.from_rep(interval_module(q, 1, 3, F))))
+    one = Matrix.identity(F, 1)
+    assert sign_coboundary(3, dims, maps, one) is not None
+    key = min(k for k in maps if k[2:4] != mesh_map_f(3, k[:2]))
+    assert sign_coboundary(3, dims, {**maps, key: -maps[key]}, one) is None
 
 
 def moved(rec, s):

@@ -165,3 +165,17 @@ def test_cli_good_windows_and_sinks_still_run():
                  ["tilt", "-q", "A3", "--kind", "apr", "-a", "3"],
                  ["reflect", "-q", "A3", "-a", "3", "--interval", "1,3"]):
         assert runner.invoke(main, args).exit_code == 0, args
+
+
+@pytest.mark.parametrize("field", ["F32003", "Q"])
+@pytest.mark.parametrize("quiver", ["FB", "BF"])
+def test_cli_triangle_verify_on_other_orientations(quiver, field):
+    """`triangle --verify` over a non-linear A_3 fills every interval module
+    to a distinguished triangle: its reference is the linear hammock whose
+    degrees along the embedded quiver are that interval in degree 0."""
+    runner = CliRunner()
+    for i in range(1, 4):
+        for j in range(i, 4):
+            res = runner.invoke(main, ["triangle", "-q", quiver, "-f", field,
+                                       "--interval", f"{i},{j}", "--verify"])
+            assert res.exit_code == 0 and "distinguished: True" in res.output, (i, j, res.output)

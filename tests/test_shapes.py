@@ -44,6 +44,19 @@ def test_vertices_outside_the_quiver_are_rejected(v):
     assert q.sinks() == [3] and q.sources() == [1]
 
 
+def test_sinks_and_sources_match_the_arrows():
+    """is_sink and is_source, read from the two orientation letters beside v,
+    agree with the arrows on every vertex of every orientation with n <= 7:
+    every arrow at a sink ends there, and every arrow at a source starts
+    there."""
+    for n in range(1, 8):
+        for q in all_orientations(n):
+            arrows = q.arrows()
+            for v in q.vertices:
+                assert q.is_sink(v) == all(t == v for s, t in arrows if v in (s, t)), (q, v)
+                assert q.is_source(v) == all(s == v for s, t in arrows if v in (s, t)), (q, v)
+
+
 def test_admissible_sequences():
     assert admissible_sequence(LineQuiver.linear(2)) == [2, 1]
     assert admissible_sequence(LineQuiver.linear(3)) == [3, 2, 1]
