@@ -15,7 +15,7 @@ pullbacks along split epis, and the boundary rows carry contractible models
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .derived import (ChainMap, Complex, DerivedObject, Square, block_map, cone, cone_inclusion,
                       fiber_projection, glue, homology_dims, identity_at, is_bicartesian,
@@ -23,7 +23,8 @@ from .derived import (ChainMap, Complex, DerivedObject, Square, block_map, cone,
 from .linalg import (FieldSpec, Matrix, complement_columns, complement_projection, kernel_basis,
                      solve)
 from .rep import Rep
-from .shapes import LineQuiver, MeshWindow, Poset, embed_iQ, mesh_map_f, point_poset
+from .shapes import (LineQuiver, MeshWindow, Poset, embed_iQ, happel_table, mesh_hom, mesh_map_f,
+                     point_poset)
 
 Vertex = Tuple[int, int]
 
@@ -556,17 +557,10 @@ def check_flip_sigma(d: ARDiagram, corrupt: Optional[Vertex] = None) -> Dict[Ver
 
 
 def suspension_orbits(n_or_diagram) -> int:
-    """Number of f-orbits of interior mesh vertices (accepts an ARDiagram)."""
+    """Number of f = Sigma orbits of interior mesh vertices, one per interval
+    (Happel); accepts an ARDiagram."""
     n = n_or_diagram.n if isinstance(n_or_diagram, ARDiagram) else int(n_or_diagram)
-    reps: Set[Tuple[int, int]] = set()
-    period = n + 1
-    for l in range(1, n + 1):
-        for k in range(period):
-            v = (k, l)
-            fv = mesh_map_f(n, v)
-            canon = min((v[0] % period, v[1]), (fv[0] % period, fv[1]))
-            reps.add(canon)
-    return len(reps)
+    return len(happel_table(LineQuiver.linear(n)))
 
 
 def mesh_table_csv(table: Dict[Tuple[Vertex, Vertex], int]) -> str:
@@ -633,25 +627,18 @@ def mesh_hom_table(q: LineQuiver, window: MeshWindow) -> Dict[Tuple[Vertex, Vert
 
 
 def check_mesh_relations(q: LineQuiver, window: MeshWindow) -> Dict[str, bool]:
-    """Happel comparison: entries in {0,1}, support = interior reachability,
+    """Happel comparison: entries in {0,1}, support = shapes.mesh_hom,
     and every mesh triangle A(u) -> sum of neighbours -> A(t^-1 u) is
     distinguished (checked as cone(A(u) -> middle) = A(t^-1 u))."""
-    from .shapes import boundary_between, mesh_leq
     table = mesh_hom_table(q, window)
-    n = q.n
     report = {"entries_01": True, "support_matches": True, "triangles": True}
     for (u, u2), val in table.items():
         if val not in (0, 1):
             report["entries_01"] = False
-        expected = 1 if (mesh_leq(u, u2) and not boundary_between(n, u, u2)) else 0
-        if val != expected:
+        if val != mesh_hom(q.n, u, u2):
             report["support_matches"] = False
     for u in window.interior():
-        k, l = u
-        tgt = (k + 1, l)
-        if tgt not in window:
-            continue
-        if not _mesh_triangle_ok(q, u):
+        if (u[0] + 1, u[1]) in window and not _mesh_triangle_ok(q, u):
             report["triangles"] = False
             break
     return report

@@ -40,7 +40,7 @@ def _field(name: str) -> FieldSpec:
 
 def _quiver(spec: str) -> LineQuiver:
     """'FFB' or 'A4' (linear) or '-' for A1."""
-    if spec.upper().startswith("A") and spec[1:].isdigit():
+    if spec.upper().startswith("A") and spec[1:].isdigit() and int(spec[1:]) >= 1:
         return LineQuiver.linear(int(spec[1:]))
     if spec == "-":
         return LineQuiver(1, "")

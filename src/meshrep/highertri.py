@@ -10,11 +10,10 @@ negates it, which matches the recomputed canonical phi on the nose.  A
 triangle is distinguished iff its boundary vanishes, its phi agrees with
 the canonical phi of its own diagram, and it is naturally isomorphic on
 homology to the standard triangle of its base.  That comparison reads only
-homology, so its reference is a block sum of per-interval records (the
-standard triangle of each interval module read on homology, a thin hammock
-in closed form): the base is the sum of the shifted intervals of its
-homology (Happel), the standard triangle is additive in the base, and it
-commutes with Sigma, which moves the degrees of the record and adds no sign.
+homology, so its reference is a block sum of per-interval records, each
+the standard triangle of an interval module read on homology: a thin
+hammock read from shapes.happel_table and shapes.mesh_hom (see
+is_distinguished for why this is sound).
 """
 
 from __future__ import annotations
@@ -33,8 +32,8 @@ from .linalg import (FieldSpec, Matrix, is_invertible, kernel_basis, solve, spli
                      sylvester_system)
 from .linalg import rref  # noqa: F401  perfbench checks that its tracer wraps this binding
 from .rep import Interval
-from .shapes import (LineQuiver, MeshWindow, embed_iQ, induced_alpha, mesh_leq, mesh_map_f,
-                     mesh_map_t)
+from .shapes import (LineQuiver, MeshWindow, embed_iQ, happel_table, induced_alpha, mesh_degree,
+                     mesh_leq, mesh_map_f, mesh_map_t)
 
 Vertex = Tuple[int, int]
 
@@ -332,43 +331,23 @@ class HomologyTriangle:
         return self.arrows[cov]
 
 
-def _hammock_degree(n: int, a: int, b: int, s: int, v: Vertex) -> Optional[int]:
-    """The degree of H at v = (k, l) in the standard triangle of Sigma^s M[a, b]
-    over linear A_n, the hammock (a, b, s); None where H is zero.  H is that of
-    X_{k,k+l} = cof(X_k -> X_{k+l}), X_0 = X_{n+1} = 0, brought into 0 <= i <=
-    j <= n + 1 by X_{i,j} = Sigma^-1 X_{j,i+n+1} = Sigma X_{j-n-1,i}: it is k,
-    in degree s + [i in [a, b]], when exactly one of i, j lies in [a, b]."""
-    i, j = v[0], v[0] + v[1]
-    while i < 0:
-        i, j, s = j, i + n + 1, s - 1
-    while j > n + 1:
-        i, j, s = j - n - 1, i, s + 1
-    inside = a <= i <= b
-    return s + inside if inside != (a <= j <= b) else None
-
-
 def _interval_record(q: LineQuiver, itv: Interval, field: FieldSpec
                      ) -> Tuple[Dict[Tuple[int, ...], int], Dict[Tuple[int, ...], Matrix]]:
     """The standard triangle of M[i, j] over q on build_ar's default window,
     read on homology, flat and sparse: dims[(k, l, d)] = dim H_d at (k, l),
     and maps[(k, l, k', l', d)] = the map out of H_d at (k, l) along the
-    cover (k, l) -> (k', l') or, for (k', l') = f(k, l), phi.  It is the
-    thin hammock (a, b, s) whose degrees along embed_iQ(q) are M[i, j] in
-    degree 0, every map the shared 1x1 identity (see is_distinguished)."""
-    n, emb = q.n, embed_iQ(q)
-    want = {v: 0 if itv.i <= v <= itv.j else None for v in q.vertices}
-    hammocks = [(a, b, -d) for a, b in itertools.combinations_with_replacement(q.vertices, 2)
-                for d in [_hammock_degree(n, a, b, 0, emb[itv.i])] if d is not None
-                and all(_hammock_degree(n, a, b, -d, emb[v]) == want[v] for v in q.vertices)]
-    if len(hammocks) != 1:
-        raise RuntimeError(f"{len(hammocks)} hammocks of linear A{n} restrict to {itv} over {q}")
-    win = ar_window(n, emb)
-    degs = {v: _hammock_degree(n, *hammocks[0], v) for v in win.interior()}
+    cover (k, l) -> (k', l') or, for (k', l') = f(k, l), phi.  The value at w
+    is RHom(P, M[i, j]) for P at sigma(w) = (-k, n+1-l) (shapes.mesh_interval),
+    so H at w is k in the degree D with mesh_hom(sigma(w), f^-D(u)), u the
+    vertex of M[i, j] in degree 0, else 0; every map is the shared 1x1 identity."""
+    n, u = q.n, happel_table(q)[(itv.i, itv.j)]
+    win = ar_window(n, embed_iQ(q))
+    degs = {(k, l): mesh_degree(n, (-k, n + 1 - l), u) for k, l in win.interior()}
     one = Matrix.identity(field, 1)
     maps = {(*a, *b, degs[a]): one for a, b in _covers_of(set(degs), n)
             if degs[a] is not None and degs[a] == degs[b]}
     maps.update({(*v, *mesh_map_f(n, v), d): one for v, d in degs.items()
-                 if d is not None and all(u in win for u in _rectangle(n, v))})
+                 if d is not None and all(w in win for w in _rectangle(n, v))})
     return {(*v, d): 1 for v, d in degs.items() if d is not None}, maps
 
 
@@ -381,8 +360,8 @@ def standard_homology(q: LineQuiver, x: Complex) -> HomologyTriangle:
     n, field = q.n, x.field
     win = ar_window(n, embed_iQ(q))
     verts = set(win.interior())
-    parts = [(_interval_record(q, itv, field), s)
-             for s, itv, m in normalize(q, x).summands for _ in range(m)]
+    parts = [part for s, itv, m in normalize(q, x).summands
+             for part in [(_interval_record(q, itv, field), s)] * m]
     hdims: Dict[Vertex, Dict[int, int]] = {v: {} for v in verts}
     for (dims, _), s in parts:
         for (k, l, d), dim in dims.items():
@@ -537,10 +516,10 @@ def is_distinguished(t: NTriangle, seed: int = 0) -> bool:
       of M with every degree moved up by s, with no sign on the homology
       maps or on phi;
     - that of an interval module is a thin hammock (Groth-Stovicek; Happel):
-      each X_{i,j} is k or 0, each map between two k of one degree, and phi,
-      is +-1, and these commute (mesh squares, naturality of phi), so their
-      signs form a coboundary and rescaling each H_d by a sign is an
-      isomorphism onto the record of _interval_record, every map 1."""
+      each value is k or 0 (shapes.mesh_hom), each map between two k of one
+      degree, and phi, is +-1, and these commute (mesh squares, naturality of
+      phi), so their signs form a coboundary and rescaling each H_d by a sign
+      is an isomorphism onto the record of _interval_record, every map 1."""
     if not t.boundary_vanishes() or not t.phi_invertible():
         return False
     ok, _ = phi_is_canonical(t)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 Element = object  # hashable labels; products use tuples
@@ -270,16 +271,23 @@ def mesh_leq(a: Tuple[int, int], b: Tuple[int, int]) -> bool:
     return a[0] <= b[0] and a[0] + a[1] <= b[0] + b[1]
 
 
-def boundary_between(n: int, a: Tuple[int, int], b: Tuple[int, int]) -> bool:
-    """True if every mesh morphism a -> b is zero because it factors through
-    the vanishing boundary rows."""
-    if not mesh_leq(a, b):
-        return True
-    for k in range(a[0], b[0] + 1):
-        for l in (0, n + 1):
-            if mesh_leq(a, (k, l)) and mesh_leq((k, l), b):
-                return True
-    return False
+def mesh_hom(n: int, u: Tuple[int, int], v: Tuple[int, int]) -> int:
+    """dim Hom(A(u), A(v)) for interior u, v (Happel): with (i, j) = (k, k + l)
+    for u and (i', j') for v, 1 iff i <= i' < j <= j' <= i + n, else 0."""
+    i, j, i2, j2 = u[0], u[0] + u[1], v[0], v[0] + v[1]
+    return int(i <= i2 < j <= j2 <= i + n)
+
+
+def mesh_degree(n: int, a: Tuple[int, int], u: Tuple[int, int]) -> Optional[int]:
+    """The D with mesh_hom(n, a, f^-D(u)), or None.  In (i, j) coordinates f^-1
+    takes (i, j) to (j - n - 1, i), so the ends (i', j') of f^-D(u) fall with D:
+    only the D with i' < j_a <= j' can do, and it does iff j' - n <= i_a <= i'."""
+    i, j = u[0], u[0] + u[1]
+    m, r = divmod(j - a[0] - a[1], n + 1)
+    odd = r >= j - i
+    lo, hi = (j - n - 1, i) if odd else (i, j)
+    c = a[0] + m * (n + 1)  # i_a moved as far right as f^-2m moves u left
+    return 2 * m + odd if c <= lo and hi <= c + n else None
 
 
 @dataclass(frozen=True)
@@ -350,6 +358,31 @@ def embed_iQ(q: LineQuiver) -> Dict[int, Tuple[int, int]]:
     """Canonical level-respecting embedding of q into the mesh on n levels."""
     cols = embedding_columns(q)
     return {v: (cols[v], v) for v in q.vertices}
+
+
+def mesh_interval(q: LineQuiver, u: Tuple[int, int]) -> Tuple[int, Tuple[int, int]]:
+    """Happel's dictionary: (s, (a, b)) with A_q(u) = Sigma^s M[a, b] at the
+    interior vertex u.  A_q is P_v at p_q(v) = sigma(i_Q(v)), sigma(k, l) =
+    (-k, n+1-l), and Hom(P_v, M) = M_v, so [a, b] is the set of v with
+    mesh_hom(p_q(v), f^-s(u)); RuntimeError if that is not one interval."""
+    degs = {v: mesh_degree(q.n, (-k, q.n + 1 - l), u) for v, (k, l) in embed_iQ(q).items()}
+    vs = sorted(v for v, d in degs.items() if d is not None)
+    if not vs or len({degs[v] for v in vs}) > 1 or vs[-1] - vs[0] >= len(vs):
+        raise RuntimeError(f"A({u}) over {q} is not one shifted interval")
+    return degs[vs[0]], (vs[0], vs[-1])
+
+
+@lru_cache(maxsize=None)
+def happel_table(q: LineQuiver) -> Dict[Tuple[int, int], Tuple[int, int]]:
+    """The way back: the vertex of each M[a, b] in degree 0, read by
+    mesh_interval from the n+1 columns from the leftmost p_q(v), a period of
+    f^2 = Sigma^2 that holds them all; RuntimeError unless one per interval."""
+    n, kmin = q.n, -max(k for k, _ in embed_iQ(q).values())
+    zero = [(itv, u) for u in MeshWindow(n, kmin, kmin + n).interior()
+            for s, itv in [mesh_interval(q, u)] if s == 0]
+    if not len(zero) == len(dict(zero)) == n * (n + 1) // 2:
+        raise RuntimeError(f"the intervals over {q} are not one vertex each in degree 0")
+    return dict(zero)
 
 
 def is_valid_embedding(q: LineQuiver, emb: Dict[int, Tuple[int, int]]) -> bool:

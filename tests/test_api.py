@@ -12,6 +12,7 @@ only homology_basis fills the homology bases kept on a Complex.
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -41,16 +42,18 @@ def _definitions(tree):
 
 
 def test_no_unused_top_level_names():
+    """A name is made of word characters only, so its whole-word matches are
+    exactly the word tokens equal to it: the corpus is tokenized once."""
     corpus = _corpus()
+    counts = Counter(word for t in corpus.values() for word in re.findall(r"\w+", t))
     unused = []
     for mod in sorted(PACKAGE.glob("*.py")):
         text = corpus[mod]
         lines = text.splitlines()
         for name, node in _definitions(ast.parse(text)):
-            word = re.compile(rf"\b{re.escape(node.name)}\b")
             start = min([node.lineno] + [d.lineno for d in node.decorator_list])
             own = "\n".join(lines[start - 1:node.end_lineno])
-            uses = sum(len(word.findall(t)) for t in corpus.values()) - len(word.findall(own))
+            uses = counts[node.name] - re.findall(r"\w+", own).count(node.name)
             if uses == 0:
                 unused.append(f"{mod.name}:{name}")
     assert unused == []

@@ -15,9 +15,10 @@ from meshrep.linalg import GF, Matrix, column_space_basis, complement_projection
 from meshrep.rep import (Interval, Rep, all_intervals, decompose, hom_space,
                          interval_module, interval_presentation, projective_interval,
                          random_interval_sum)
-from meshrep.functors import serre, transport, transport_embedding
+from meshrep.functors import SerreTable, serre, transport, transport_embedding
 from meshrep.shapes import (LineQuiver, MeshWindow, all_orientations, default_window,
-                            embed_iQ, mesh_map_s, point_poset)
+                            embed_iQ, happel_table, mesh_interval, mesh_map_f, mesh_map_s,
+                            point_poset)
 
 F = GF(32003)
 
@@ -213,6 +214,29 @@ def test_suspension_orbits():
     assert suspension_orbits(1) == 1
     assert suspension_orbits(3) == 6
     assert suspension_orbits(5) == 15
+    # f^2 moves a vertex n + 1 columns, so each f-orbit meets the columns
+    # 0..n in v and f(v) taken mod n + 1, and the orbits are their minima
+    for n in range(1, 9):
+        fold = lambda v: (v[0] % (n + 1), v[1])
+        orbits = {min(fold(v), fold(mesh_map_f(n, v))) for v in MeshWindow(n, 0, n).interior()}
+        assert suspension_orbits(n) == len(orbits)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_chain_level_routes_match_the_happel_table(n):
+    """For every orientation, mesh_object (Coxeter functors applied to a
+    projective) is the shifted interval that shapes.mesh_interval reads at
+    every vertex of columns -n-2..n+2, more than two periods of f^2 =
+    Sigma^2; and SerreTable (the serre functor on each interval) sends M[itv]
+    to the interval read at s of its vertex in happel_table."""
+    for q in all_orientations(n):
+        for u in MeshWindow(n, -n - 2, n + 2).interior():
+            s, (a, b) = mesh_interval(q, u)
+            assert mesh_object(q, u) == DerivedObject.from_dict({(s, Interval(a, b)): 1}), (q, u)
+        images = SerreTable(q, F).images
+        for (a, b), u in happel_table(q).items():
+            s, itv = mesh_interval(q, mesh_map_s(n, u))
+            assert images[Interval(a, b)] == (s, Interval(*itv)), (q, a, b)
 
 
 def test_serre_shift():

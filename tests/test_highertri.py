@@ -8,7 +8,7 @@ from meshrep.highertri import (HomologyTriangle, NTriangle, base, canonical_phi,
                                homology_matrix, inverse_image, is_distinguished, phi_is_canonical,
                                standard_homology, standard_triangle, translate)
 from meshrep.linalg import GF, QQ, Matrix, inverse, is_invertible
-from meshrep.rep import Interval, Rep, all_intervals, hom_space, interval_module, random_interval_sum
+from meshrep.rep import Rep, all_intervals, hom_space, interval_module, random_interval_sum
 from meshrep.shapes import (LineQuiver, MeshWindow, all_orientations, default_window, mesh_map_f,
                             mesh_map_f_inv)
 
@@ -324,14 +324,6 @@ def test_interval_record_is_the_built_record_up_to_signs(field, nmax):
                 assert got_dims == dims and got_maps.keys() == maps.keys(), (q, itv)
                 assert all(m is one for m in got_maps.values())
                 assert sign_coboundary(n, dims, maps, one) is not None, (q, itv)
-
-
-def test_interval_record_without_its_hammock_is_an_error(monkeypatch):
-    """An embedding that no linear hammock restricts to (both vertices on
-    one mesh vertex) raises instead of giving some record."""
-    monkeypatch.setattr(highertri, "embed_iQ", lambda q: {v: (0, 1) for v in q.vertices})
-    with pytest.raises(RuntimeError, match="0 hammocks of linear A2 restrict to M"):
-        highertri._interval_record(LineQuiver.linear(2), Interval(1, 1), F)
 
 
 def test_sign_coboundary_sees_a_twisted_square():

@@ -153,6 +153,9 @@ def test_cli_tilt_sign_is_one_or_minus_one():
     ["tilt", "-q", "A3", "--kind", "apr", "-a", "9"],
     ["tilt", "-q", "A3", "--kind", "iter", "--target", "FFF"],
     ["transport", "-q", "A3", "--interval", "1,1", "--target", "FFF"],
+    ["decompose", "-q", "A0"],
+    ["ar-quiver", "-q", "a00"],
+    ["transport", "-q", "A3", "--interval", "1,1", "--target", "A0"],
 ], ids=lambda a: " ".join(a))
 def test_cli_bad_input_is_a_usage_error(args):
     res = CliRunner().invoke(main, args)
@@ -171,8 +174,8 @@ def test_cli_good_windows_and_sinks_still_run():
 @pytest.mark.parametrize("quiver", ["FB", "BF"])
 def test_cli_triangle_verify_on_other_orientations(quiver, field):
     """`triangle --verify` over a non-linear A_3 fills every interval module
-    to a distinguished triangle: its reference is the linear hammock whose
-    degrees along the embedded quiver are that interval in degree 0."""
+    to a distinguished triangle: its reference is read from the Happel
+    table of that orientation."""
     runner = CliRunner()
     for i in range(1, 4):
         for j in range(i, 4):

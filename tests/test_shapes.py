@@ -10,10 +10,10 @@ from meshrep.linalg import GF
 from meshrep.rep import interval_module
 from meshrep.shapes import (
     LineQuiver, MeshWindow, SymmetryElem, admissible_sequence, all_orientations,
-    boundary_between, cosieve_of_diagonal, embed_iQ, group_generator_check,
-    group_structure, induced_alpha, is_admissible_sequence, is_valid_embedding,
-    mesh_map_f, mesh_map_s, mesh_map_t, reflection_embeddings, reflection_path,
-    satisfies_rel_embed, sieve_of_diagonal, twisted_arrow,
+    cosieve_of_diagonal, embed_iQ, group_generator_check, group_structure, happel_table,
+    induced_alpha, is_admissible_sequence, is_valid_embedding, mesh_degree, mesh_hom,
+    mesh_interval, mesh_leq, mesh_map_f, mesh_map_f_inv, mesh_map_s, mesh_map_t,
+    reflection_embeddings, reflection_path, satisfies_rel_embed, sieve_of_diagonal, twisted_arrow,
 )
 
 
@@ -209,10 +209,75 @@ def test_reflection_path():
     assert cur == dst
 
 
-def test_boundary_between():
-    assert boundary_between(2, (0, 1), (1, 1))  # only route passes (1, 0)
-    assert not boundary_between(2, (0, 1), (0, 2))
-    assert boundary_between(2, (0, 1), (1, 2))
+def boundary_between(n, a, b):
+    """The oracle of mesh_hom: True if every mesh morphism a -> b is zero
+    because it factors through the vanishing boundary rows."""
+    if not mesh_leq(a, b):
+        return True
+    for k in range(a[0], b[0] + 1):
+        for l in (0, n + 1):
+            if mesh_leq(a, (k, l)) and mesh_leq((k, l), b):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_mesh_hom_is_reachability_off_the_boundary(n):
+    """mesh_hom is 1 exactly where u <= v and no morphism factors through a
+    boundary vertex, on every pair of interior vertices of a window of 2n + 8
+    columns, which holds the pairs checked by hand for n = 2."""
+    if n == 2:  # the only route from (0, 1) to (1, 1) passes the boundary vertex (1, 0)
+        assert [mesh_hom(2, (0, 1), v) for v in ((1, 1), (0, 2), (1, 2))] == [0, 1, 0]
+    for a, b in itertools.product(MeshWindow(n, -3, 2 * n + 4).interior(), repeat=2):
+        assert mesh_hom(n, a, b) == (not boundary_between(n, a, b)), (a, b)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_mesh_degree_is_the_only_degree_of_hom(n):
+    """mesh_degree(n, a, u) is the only D in -16..16 with mesh_hom(n, a,
+    f^-D(u)), and None when there is no such D, on every pair of interior
+    vertices of a window of 2n + 8 columns."""
+    w = MeshWindow(n, -3, 2 * n + 4).interior()
+    for u in w:
+        orbit = {0: u}
+        for d in range(1, 17):
+            orbit[d], orbit[-d] = mesh_map_f_inv(n, orbit[d - 1]), mesh_map_f(n, orbit[1 - d])
+        for a in w:
+            got = mesh_degree(n, a, u)
+            want = [d for d, x in orbit.items() if mesh_hom(n, a, x)]
+            assert want == ([] if got is None else [got]), (a, u)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_happel_table_is_a_bijection_onto_the_intervals(n):
+    """Over every orientation each interval has one vertex of degree 0, the
+    interval it reads is its own in degree 0, and f moves it to the same
+    interval one degree up."""
+    for q in all_orientations(n):
+        table = happel_table(q)
+        assert sorted(table) == [(a, b) for a in q.vertices for b in q.vertices if a <= b]
+        for itv, u in table.items():
+            assert mesh_interval(q, u) == (0, itv)
+            assert mesh_interval(q, mesh_map_f(n, u)) == (1, itv)
+
+
+def test_happel_table_rejects_a_collapsed_embedding(monkeypatch):
+    """With both vertices of A2 on one mesh vertex, some vertex reads no one
+    shifted interval, and the build raises instead of giving some table."""
+    monkeypatch.setattr(sh, "embed_iQ", lambda q: {v: (0, 1) for v in q.vertices})
+    happel_table.cache_clear()
+    with pytest.raises(RuntimeError, match=r"A\(\(0, 1\)\) over A2\[F\] is not one shifted"):
+        happel_table(LineQuiver.linear(2))
+
+
+def test_happel_table_rejects_a_hom_without_its_degree(monkeypatch):
+    """A mesh_degree that reads every nonzero hom in degree 0 gives u and f(u)
+    the same interval in degree 0, and the build raises."""
+    degree = sh.mesh_degree
+    monkeypatch.setattr(sh, "mesh_degree", lambda n, a, u: None if degree(n, a, u) is None else 0)
+    happel_table.cache_clear()
+    with pytest.raises(RuntimeError, match="intervals over A3.FF. are not one vertex each"):
+        happel_table(LineQuiver.linear(3))
 
 
 def test_window_squares():
