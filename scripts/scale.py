@@ -7,8 +7,11 @@ n = 5, 6, 7, 8, 10, 12 and 16 it times one `suite_stc(samples=1, ns=[n])`
 call and one build_ar + verify() + normalize round trip on a random interval
 sum over linear A_n.  For n = 8 and 16 it times coxeter_minus(coxeter_plus(M))
 over every interval module M of linear A_n over F_32003 and checks that each
-returns M.  Every random input comes from the battery's default seed.  Opt-in: not
-part of the tests or the benchmark.
+returns M.  For k = 1..5 it times tensor_power(D, A5, k) for the duality
+bimodule D of linear A5 over F_32003 and checks its total term dimension
+(95, 531, 2,755, 13,763, 67,427; k = 6 runs out of memory).  Every random
+input comes from the battery's default seed.  Opt-in: not part of the tests or
+the benchmark.
 
     PYTHONPATH=src python3 scripts/scale.py
 """
@@ -21,12 +24,17 @@ from typing import Tuple
 import numpy as np
 
 from meshrep.armesh import build_ar
+from meshrep.bimod import duality_module
 from meshrep.derived import Complex, normalize
 from meshrep.functors import coxeter_minus, coxeter_plus
 from meshrep.linalg import GF, QQ, FieldSpec
 from meshrep.rep import all_intervals, decompose, interval_module, random_interval_sum
 from meshrep.shapes import LineQuiver, embed_iQ
 from meshrep.suites import DEFAULT_SEED, suite_stc
+from meshrep.tilting import tensor_power
+
+# total term dimension of tensor_power(D, A5, k) for k = 1..5
+TENSOR_POWER_DIMS = (95, 531, 2755, 13763, 67427)
 
 
 def decompose_time(n: int, field: FieldSpec, seed: int, samples: int = 3) -> Tuple[float, bool]:
@@ -89,6 +97,14 @@ def main() -> int:
         failed = failed or not ok
         print(f"n={n}  coxeter- coxeter+ on {n * (n + 1) // 2} intervals {secs:7.2f}s "
               f"{'PASS' if ok else 'FAIL'}", flush=True)
+    q, field = LineQuiver.linear(5), GF()
+    for k, want in enumerate(TENSOR_POWER_DIMS, start=1):
+        t0 = time.perf_counter()
+        dim = tensor_power(duality_module(q, field), q, k, field).total_dim()
+        secs = time.perf_counter() - t0
+        failed = failed or dim != want
+        print(f"k={k}  tensor_power(D, A5) dim {dim} {secs:7.2f}s "
+              f"{'PASS' if dim == want else 'FAIL'}", flush=True)
     return 1 if failed else 0
 
 

@@ -602,14 +602,18 @@ def mesh_object(q: LineQuiver, u: Vertex, fieldspec: Optional[FieldSpec] = None)
     if key in _MESH_CACHE:
         return _MESH_CACHE[key]
     fs = fieldspec or GF()
+    # |j| Coxeter steps along row l from the projective P_v on the slice,
+    # one per column; a column already in the cache is read, not recomputed
     v = n + 1 - l
     j = -k - embed_iQ(q)[v][0]
-    itv = projective_interval(q, v)
-    obj = DerivedObject.from_dict({(0, itv): 1})
-    cur = object_complex(q, obj, fs)
-    for _ in range(abs(j)):
-        cur = coxeter_plus(q, cur) if j > 0 else coxeter_minus(q, cur)
-    out = normalize(q, cur)
+    step = 1 if j > 0 else -1
+    out = DerivedObject.from_dict({(0, projective_interval(q, v)): 1})
+    for col in range(k + j - step, k - step, -step):
+        at = (n, q.orientation, (col, l))
+        if at not in _MESH_CACHE:
+            cur = object_complex(q, out, fs)
+            _MESH_CACHE[at] = normalize(q, coxeter_plus(q, cur) if j > 0 else coxeter_minus(q, cur))
+        out = _MESH_CACHE[at]
     _MESH_CACHE[key] = out
     return out
 

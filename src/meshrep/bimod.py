@@ -5,19 +5,21 @@ posets P, R; canceling tensor products are computed from the standard
 two-term bimodule resolution when the middle shape is hereditary (line
 quivers, trees) and from the normalized bar resolution of the incidence
 algebra otherwise (needed for the commutative-square middle).  The bar route
-doubles as an independent oracle for the hereditary route.  The external
-tensor boxtimes is the canceling tensor over a point, read on the product
-shapes.
+doubles as an independent oracle for the hereditary route.  Both lay out
+their total complex with derived.block_complex, as every complex of the
+package is laid out: one part per chain of the resolution, the external
+tensor of two slices.  boxtimes is that external tensor, read on the
+product shapes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
-from .derived import (ChainMap, Complex, homology_rep, linear_dual_complex, restrict,
-                      restrict_map)
+from .derived import (ChainMap, Complex, Grid, RepMap, block_complex, homology_rep, identity_at,
+                      linear_dual_complex, negated, restrict, restrict_map)
 from .linalg import FieldSpec, Matrix
 from .rep import Rep, find_isomorphism
 from .shapes import LineQuiver, Poset, point_poset
@@ -92,17 +94,16 @@ def _treelike(p: Poset) -> bool:
     succ: Dict = {}
     for (a, b) in p.covers:
         succ.setdefault(a, []).append(b)
+    return all(_count_paths(p, succ, a, b) <= 1
+               for a in p.elements for b in p.elements if p.leq(a, b))
 
-    def count_paths(a, b):
-        if a == b:
-            return 1
-        return sum(count_paths(c, b) for c in succ.get(a, []) if p.leq(c, b))
 
-    for a in p.elements:
-        for b in p.elements:
-            if p.leq(a, b) and count_paths(a, b) > 1:
-                return False
-    return True
+def _count_paths(p: Poset, succ: Dict, a, b) -> int:
+    """The number of cover paths from a to b (a module function, so that no
+    closure calling itself is left as a reference cycle)."""
+    if a == b:
+        return 1
+    return sum(_count_paths(p, succ, c, b) for c in succ.get(a, []) if p.leq(c, b))
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +175,6 @@ def _chain_summands(mid: Poset, method: str) -> List[Tuple[int, Tuple]]:
             out.append((1, (u, v)))
         return out
     # normalized bar: all strict chains
-    maxlen = len(elems)
     level = [(w,) for w in elems]
     k = 1
     while True:
@@ -191,12 +191,75 @@ def _chain_summands(mid: Poset, method: str) -> List[Tuple[int, Tuple]]:
     return out
 
 
+def _external(a: Complex, b: Complex, shape: Poset) -> Complex:
+    """a ⊠ b over shape = a.shape x b.shape: in degree t the sum over the
+    pairs (i, j) with i + j = t, i ascending, of a_i ⊠ b_j, whose entry at
+    (p, r) is a_i(p) (x) b_j(r), first factor major, with the differential
+    dA (x) 1 + (-1)^i 1 (x) dB."""
+    field = a.field
+    pairs = [(i, j) for i in a.degrees() for j in b.degrees()]
+    index = {ij: n for n, ij in enumerate(pairs)}
+
+    def part(x: Rep, y: Rep) -> Complex:
+        mats = {}
+        for cov in shape.covers:
+            (p1, r1), (p2, r2) = cov
+            mats[cov] = (Matrix.identity(field, x.dims[p1]).kron(y.mats[(r1, r2)]) if p1 == p2
+                         else x.mats[(p1, p2)].kron(Matrix.identity(field, y.dims[r1])))
+        dims = {(p, r): x.dims[p] * y.dims[r] for (p, r) in shape.elements}
+        return Complex.from_rep(Rep(shape, field, dims, mats, validate=False))
+
+    def diff(t: int) -> Grid:
+        grid: Grid = [[None] * len(pairs) for _ in pairs]
+        for col, (i, j) in enumerate(pairs):
+            if i + j != t:
+                continue
+            if (i - 1, j) in index and i in a.diffs:
+                da, y = a.diffs[i], b.term(j)
+                grid[index[(i - 1, j)]][col] = {
+                    (p, r): da[p].kron(Matrix.identity(field, y.dims[r])) for (p, r) in shape.elements}
+            if (i, j - 1) in index and j in b.diffs:
+                db, x = b.diffs[j], a.term(i)
+                grid[index[(i, j - 1)]][col] = {
+                    (p, r): Matrix.identity(field, x.dims[p]).kron(db[r] if i % 2 == 0 else -db[r])
+                    for (p, r) in shape.elements}
+        return grid
+
+    parts = [(part(a.term(i), b.term(j)), i + j) for (i, j) in pairs]
+    if not parts:
+        return Complex.zero(shape, field)
+    return block_complex(parts, sorted({i + j for (i, j) in pairs}), diff)
+
+
+def _external_map(f: ChainMap, g: ChainMap, shape: Poset, t: int) -> RepMap:
+    """f ⊠ g in degree t for chain maps f: a -> a' and g: b -> b', from
+    _external(a, b, shape) to _external(a', b', shape): block diagonal over
+    the pairs (i, j), with the block f_i(p) (x) g_j(r) at (p, r)."""
+    def pairs(a: Complex, b: Complex) -> List[Tuple[int, int]]:
+        return [(i, t - i) for i in a.degrees() if t - i in b.terms]
+
+    rows, cols = pairs(f.tgt, g.tgt), pairs(f.src, g.src)
+    grid = [[(f.comp(i), g.comp(j)) if (i, j) == col else None for col in cols] for i, j in rows]
+    row_dims = [(f.tgt.terms[i].dims, g.tgt.terms[j].dims) for i, j in rows]
+    col_dims = [(f.src.terms[i].dims, g.src.terms[j].dims) for i, j in cols]
+    return {(p, r): Matrix.block(f.src.field, [[None if b is None else b[0][p].kron(b[1][r])
+                                                for b in row] for row in grid],
+                                 [x[p] * y[r] for x, y in row_dims], [x[p] * y[r] for x, y in col_dims])
+            for (p, r) in shape.elements}
+
+
 def cancel_tensor(m: Bimodule, n: Bimodule, method: str = "auto") -> Bimodule:
     """The canceling tensor product m (x)_[mid] n.
 
     method: "hereditary" (two-term standard resolution; middle must be
     treelike), "bar" (normalized bar resolution of the incidence algebra;
     always valid, used as the independence oracle), or "auto".
+
+    The total complex is one block_complex over the chains ch of the
+    resolution, each the external tensor m(-, ch[-1]) ⊠ n(ch[0], -) shifted
+    by its bar degree k.  Face i of a chain goes to the chain without ch[i],
+    with the sign (-1)^(d - k + i) in total degree d; the two end faces act
+    on one factor by the middle actions, an inner face is the identity.
     """
     check_middle(m.right, n.left)
     mid = as_poset(n.left)
@@ -212,17 +275,13 @@ def cancel_tensor(m: Bimodule, n: Bimodule, method: str = "auto") -> Bimodule:
     # m(-, w) over the left poset and n(w, -) over the opposite right poset
     mslices = {w: restrict(m.complex, leftp, lambda a, w=w: (a, w)) for w in mid.elements}
     nslices = {w: restrict(n.complex, rightp, lambda b, w=w: (w, b)) for w in mid.elements}
-    summands = _chain_summands(mid, method)
-    # the external tensor m(-, ch[-1]) x n(ch[0], -) at each chain
-    tensors = {ch: (mslices[ch[-1]], nslices[ch[0]]) for (_, ch) in summands}
-    tensor_degs = {ch: (a.degrees(), set(b.degrees())) for ch, (a, b) in tensors.items()}
 
-    def pairs(ch: Tuple, d: int) -> List[Tuple[int, int]]:
-        adegs, bdegs = tensor_degs[ch]
-        return [(i, d - i) for i in adegs if (d - i) in bdegs]
+    # the external tensors and actions, each built once: many chains share
+    # their two ends and many faces the same action
+    @lru_cache(maxsize=None)
+    def ext(v, u) -> Complex:
+        return _external(mslices[v], nslices[u], target)
 
-    # vertical maps between tensors induced by middle actions, each built once:
-    # many chains and target blocks share the same pair u <= v
     @lru_cache(maxsize=None)
     def n_action(u, v) -> ChainMap:
         """The covariant action n(u, -) -> n(v, -)."""
@@ -233,127 +292,31 @@ def cancel_tensor(m: Bimodule, n: Bimodule, method: str = "auto") -> Bimodule:
         """The contravariant action m(-, v) -> m(-, u)."""
         return restrict_map(m.complex, mslices[v], mslices[u], lambda a: (a, v), lambda a: (a, u))
 
-    def face_map(ch: Tuple, i: int) -> Tuple[Tuple, Optional[ChainMap], Optional[ChainMap]]:
-        """Target chain and the (left, right) chain maps to apply."""
-        k = len(ch) - 1
-        if i == 0:
-            return ch[1:], None, n_action(ch[0], ch[1])
-        if i == k:
-            return ch[:-1], m_action(ch[-2], ch[-1]), None
-        return ch[:i] + ch[i + 1:], None, None
+    summands = _chain_summands(mid, method)
+    index = {ch: col for col, (_, ch) in enumerate(summands)}
+    parts = [(ext(ch[-1], ch[0]), k) for k, ch in summands]
 
-    # total complex ----------------------------------------------------------
-    degs_all = set()
-    for (k, ch) in summands:
-        a, b = tensors[ch]
-        for i in a.degrees():
-            for j in b.degrees():
-                degs_all.add(i + j + k)
-    if not degs_all:
-        return Bimodule(m.left, n.right, Complex.zero(target, field))
-    dmin, dmax = min(degs_all), max(degs_all)
-
-    # offsets: for each total degree d and element e, blocks indexed by
-    # (k, ch, (i, j)) with i + j = d - k
-    def layout(d):
-        offs = {}
-        dims = {}
-        for e in target.elements:
-            t = 0
-            loc = {}
-            for (k, ch) in summands:
-                a, b = tensors[ch]
-                for (i, j) in pairs(ch, d - k):
-                    p, r = e
-                    sz = a.term(i).dims[p] * b.term(j).dims[r]
-                    if sz:
-                        loc[(k, ch, i, j)] = (t, sz)
-                        t += sz
-            offs[e] = loc
-            dims[e] = t
-        return offs, dims
-
-    layouts = {d: layout(d) for d in range(dmin, dmax + 1)}
-
-    terms = {}
-    for d in range(dmin, dmax + 1):
-        offs, dims = layouts[d]
-        mats = {}
-        for (e1, e2) in target.covers:
-            rows = dims[e2]
-            colsd = dims[e1]
-            out = Matrix.zeros(field, rows, colsd).rows()
-            p1, r1 = e1
-            p2, r2 = e2
-            for (key, (c0, csz)) in offs[e1].items():
-                k, ch, i, j = key
-                if key not in offs[e2]:
-                    continue
-                r0, rsz = offs[e2][key]
-                a, b = tensors[ch]
-                if p1 == p2:
-                    blk = Matrix.identity(field, a.term(i).dims[p1]).kron(b.term(j).mats[(r1, r2)])
+    def diff(d: int) -> Grid:
+        grid: Grid = [[None] * len(parts) for _ in parts]
+        for col, ((e, k), (_, ch)) in enumerate(zip(parts, summands)):
+            t = d - k
+            if t not in e.terms:
+                continue
+            grid[col][col] = e.diffs.get(t)
+            for i in range(k + 1 if k else 0):
+                if i == 0:
+                    blk = _external_map(ChainMap.identity(mslices[ch[-1]]), n_action(ch[0], ch[1]),
+                                        target, t)
+                elif i == k:
+                    blk = _external_map(m_action(ch[-2], ch[-1]), ChainMap.identity(nslices[ch[0]]),
+                                        target, t)
                 else:
-                    blk = a.term(i).mats[(p1, p2)].kron(Matrix.identity(field, b.term(j).dims[r1]))
-                bb = blk.rows()
-                for rr in range(blk.nrows):
-                    for cc in range(blk.ncols):
-                        out[r0 + rr][c0 + cc] = bb[rr][cc]
-            mats[(e1, e2)] = Matrix.from_rows(field, out) if rows and colsd \
-                else Matrix.zeros(field, rows, colsd)
-        terms[d] = Rep(target, field, {e: dims[e] for e in target.elements}, mats, validate=False)
+                    blk = identity_at(e.terms[t])
+                grid[index[ch[:i] + ch[i + 1:]]][col] = blk if (t + i) % 2 == 0 else negated(blk)
+        return grid
 
-    diffs = {}
-    for d in range(dmin + 1, dmax + 1):
-        offs_s, dims_s = layouts[d]
-        offs_t, dims_t = layouts[d - 1]
-        phi = {}
-        for e in target.elements:
-            p, r = e
-            out = Matrix.zeros(field, dims_t[e], dims_s[e]).rows()
-
-            def put(r0, c0, blk):
-                bb = blk.rows()
-                for rr in range(blk.nrows):
-                    for cc in range(blk.ncols):
-                        out[r0 + rr][c0 + cc] += bb[rr][cc]
-
-            for (key, (c0, csz)) in offs_s[e].items():
-                k, ch, i, j = key
-                a, b = tensors[ch]
-                ai = a.term(i).dims[p]
-                bj = b.term(j).dims[r]
-                # internal differential: dA (x) id
-                tkey = (k, ch, i - 1, j)
-                if tkey in offs_t[e]:
-                    put(offs_t[e][tkey][0], c0, a.diff(i)[p].kron(Matrix.identity(field, bj)))
-                # internal: (-1)^i id (x) dB
-                tkey = (k, ch, i, j - 1)
-                if tkey in offs_t[e]:
-                    blk = Matrix.identity(field, ai).kron(b.diff(j)[r])
-                    put(offs_t[e][tkey][0], c0, blk if i % 2 == 0 else -blk)
-                # bar faces with the (-1)^(i+j) total-complex twist
-                mdeg = i + j
-                sign_tot = 1 if mdeg % 2 == 0 else -1
-                for face_i in range(k + 1):
-                    if k == 0:
-                        break
-                    ch2, mleft, nright = face_map(ch, face_i)
-                    tkey = (k - 1, ch2, i, j)
-                    if tkey not in offs_t[e]:
-                        continue
-                    sign = sign_tot * (1 if face_i % 2 == 0 else -1)
-                    if mleft is not None:
-                        blk = mleft.comp(i)[p].kron(Matrix.identity(field, bj))
-                    elif nright is not None:
-                        blk = Matrix.identity(field, ai).kron(nright.comp(j)[r])
-                    else:
-                        blk = Matrix.identity(field, ai).kron(Matrix.identity(field, bj))
-                    put(offs_t[e][tkey][0], c0, blk if sign == 1 else -blk)
-            phi[e] = Matrix.from_rows(field, out) if dims_t[e] and dims_s[e] \
-                else Matrix.zeros(field, dims_t[e], dims_s[e])
-        diffs[d] = phi
-    return Bimodule(m.left, n.right, Complex(target, field, terms, diffs, validate=False))
+    degs = sorted({t + k for e, k in parts for t in e.degrees()})
+    return Bimodule(m.left, n.right, block_complex(parts, degs, diff))
 
 
 def bar_tensor_oracle(m: Bimodule, n: Bimodule) -> Bimodule:
@@ -365,21 +328,21 @@ def boxtimes(m1: Bimodule, m2: Bimodule) -> Bimodule:
     """External tensor of bimodules: entries multiply, shapes take products.
 
     The result is a bimodule over (L1 x L2) x (R1 x R2)^op; it is the kernel
-    of the boxtimes of the corresponding functors.  It is the tensor over a
-    point of m1 as a left and m2 as a right module, whose entry at
-    ((a1, b1), (a2, b2)) is m1(a1, b1) (x) m2(a2, b2), read at
+    of the boxtimes of the corresponding functors.  It is _external of the
+    two complexes, the tensor that cancel_tensor takes at each chain, whose
+    entry at ((a1, b1), (a2, b2)) is m1(a1, b1) (x) m2(a2, b2), read at
     ((a1, a2), (b1, b2))."""
     l1, l2 = m1.left_poset, m2.left_poset
     r1, r2 = m1.right_poset, m2.right_poset
     left = l1.product(l2, name=f"{l1.name}*{l2.name}")
     right = r1.product(r2, name=f"{r1.name}*{r2.name}")
     c1, c2 = m1.complex, m2.complex
-    t = cancel_tensor(from_left_complex(c1.shape, c1), from_right_complex(c2.shape.opposite(), c2))
+    t = _external(c1, c2, c1.shape.product(c2.shape))
 
     def at(e):
         (a1, a2), (b1, b2) = e
         return (a1, b1), (a2, b2)
-    return Bimodule(left, right, restrict(t.complex, left.product(right.opposite()), at))
+    return Bimodule(left, right, restrict(t, left.product(right.opposite()), at))
 
 
 # ---------------------------------------------------------------------------

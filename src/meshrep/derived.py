@@ -9,7 +9,6 @@ phi: X -> Y has differential [[-d_X, 0], [phi, d_Y]].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .linalg import FieldSpec, Matrix, kernel_basis, rref, solve
@@ -166,7 +165,11 @@ Grid = List[List[Optional[RepMap]]]  # one block per (row part, column part); No
 
 
 def _part_dims(parts: List[Part], d: int) -> List[Dict[Element, int]]:
-    return [c.term(d - s).dims for c, s in parts]
+    # an absent term reads as zeros, not as Rep.zero: the shared zero rep and
+    # its shape refer to each other, so on the shape of a short-lived part it
+    # would stay in memory until the cycle collector runs
+    return [c.terms[d - s].dims if d - s in c.terms else dict.fromkeys(c.shape.elements, 0)
+            for c, s in parts]
 
 
 def _blocks(field: FieldSpec, elements, grid: Grid, rows: List[Dict], cols: List[Dict]) -> RepMap:
@@ -183,7 +186,8 @@ def block_complex(parts: List[Part], degs: List[int],
     diff(d) is not called where the term in degree d or d - 1 is zero: the
     Complex would drop that differential."""
     shape, field = parts[0][0].shape, parts[0][0].field
-    terms = {d: reduce(Rep.direct_sum, [c.term(d - s) for c, s in parts]) for d in degs}
+    terms = {d: direct_sum([c.terms[d - s] for c, s in parts if d - s in c.terms], shape, field)
+             for d in degs}
     nonzero = {d for d, t in terms.items() if not t.is_zero()}
     diffs = {}
     for d in degs:

@@ -315,20 +315,26 @@ class Matrix:
         if (sized[0].nrows, sized[0].ncols) == (r, c):
             return sized[0]
         w = 1 if field.p is None else 2
+        zero_rows = [(_zero_data(field, n), 0, w * n) for n in col_dims]
         parts = [_side_by_side(field, row_dims[i], [
-            (_zero_data(field, col_dims[j]), 0, w * col_dims[j]) if blk is None
-            else (blk._data, w * col_dims[j], w * col_dims[j]) for j, blk in enumerate(brow)])
-            for i, brow in enumerate(grid)]
+            zero_rows[j] if blk is None else (blk._data, w * col_dims[j], w * col_dims[j])
+            for j, blk in enumerate(brow)])
+            for i, brow in enumerate(grid) if row_dims[i]]
         return _new(field, r, c, _join(field, parts))
 
     def kron(self, other: "Matrix") -> "Matrix":
-        """Kronecker product, first factor major."""
+        """Kronecker product, first factor major.  An empty product is the
+        shared zero, and a factor that is the shared 1 x 1 identity returns
+        the other factor."""
         if self.field.p != other.field.p:
             raise ValueError("field mismatch")
         (sr, sc), (orow, oc) = (self.nrows, self.ncols), (other.nrows, other.ncols)
         nr, nc = sr * orow, sc * oc
         if nr == 0 or nc == 0:
             return Matrix.zeros(self.field, nr, nc)
+        one = _IDENTITIES.get((self.field.p, 1))
+        if self is one or other is one:
+            return other if self is one else self
         if _numpy_size(self.field, nr * nc):
             return _from_np(self.field, np.kron(_np(self), _np(other)))
         a, b = _entries(self), _entries(other)

@@ -143,10 +143,18 @@ class Rep:
 
 
 def direct_sum(reps: Sequence[Rep], shape: Poset, field: FieldSpec) -> Rep:
-    out = Rep.zero(shape, field)
-    for r in reps:
-        out = out.direct_sum(r)
-    return out
+    """The sum of reps over shape, one block-diagonal matrix per cover; zero
+    summands add nothing and a single nonzero one is returned itself."""
+    reps = [r for r in reps if not r.is_zero()]
+    if len(reps) < 2:
+        return reps[0] if reps else Rep.zero(shape, field)
+    diagonal = range(len(reps))
+    mats = {(a, b): Matrix.block(field, [[r.mats[(a, b)] if k == n else None for n in diagonal]
+                                         for k, r in enumerate(reps)],
+                                 [r.dims[b] for r in reps], [r.dims[a] for r in reps])
+            for (a, b) in shape.covers}
+    return Rep(shape, field, {e: sum(r.dims[e] for r in reps) for e in shape.elements}, mats,
+               validate=False)
 
 
 # ---------------------------------------------------------------------------

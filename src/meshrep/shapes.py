@@ -20,6 +20,22 @@ Element = object  # hashable labels; products use tuples
 # finite posets presented by covering relations
 
 
+def _visit(e: Element, succ, seen: Dict[Element, int], out: List[Element]) -> None:
+    """Depth first from e, appending to out in postorder.  A module function
+    rather than a closure that calls itself: such a closure is a reference
+    cycle, left for the cycle collector after every sort."""
+    state = seen.get(e, 0)
+    if state == 1:
+        raise ValueError("covers contain a cycle")
+    if state == 2:
+        return
+    seen[e] = 1
+    for t in succ[e]:
+        _visit(t, succ, seen, out)
+    seen[e] = 2
+    out.append(e)
+
+
 class Poset:
     """Finite poset with named elements and explicit covering relations."""
 
@@ -56,21 +72,8 @@ class Poset:
     def _topo_order(self, succ) -> List[Element]:
         seen: Dict[Element, int] = {}
         out: List[Element] = []
-
-        def visit(e, stack):
-            state = seen.get(e, 0)
-            if state == 1:
-                raise ValueError("covers contain a cycle")
-            if state == 2:
-                return
-            seen[e] = 1
-            for t in succ[e]:
-                visit(t, stack)
-            seen[e] = 2
-            out.append(e)
-
         for e in self.elements:
-            visit(e, set())
+            _visit(e, succ, seen, out)
         return out[::-1]
 
     def leq(self, a: Element, b: Element) -> bool:

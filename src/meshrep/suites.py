@@ -20,7 +20,7 @@ from .derived import Complex, DerivedObject, derived_hom_dim, normalize
 from .linalg import GF, QQ, FieldSpec
 from .rep import all_intervals, decompose, interval_module, random_interval_sum
 from .functors import (SerreTable, coxeter_plus, reflect_minus, reflect_minus_obj, reflect_plus,
-                       reflect_plus_obj, serre, transport)
+                       reflect_plus_obj, serre, transport, untransport)
 from .shapes import LineQuiver, MeshWindow, all_orientations, embed_iQ, is_admissible_sequence
 from .tilting import (apr_tilt, apply_bimodule, iter_tilt, picard_check, serre_bimodule,
                       square_d4_bimodule, square_d4_inverse, square_d4_pattern_matches,
@@ -288,8 +288,8 @@ def suite_kernels(seed: int = DEFAULT_SEED, nmax: int = 4, oracle_pairs: int = 1
             for a in q.sinks()[:1]:
                 q2 = q.reflect(a)
                 kernels.append((f"reflect+{a}",
-                                Bimodule(q2, q, reflect_plus_obj(q, a, identity_prof(q, field).complex,
-                                                                 spectator=q.poset().opposite())[1]),
+                                functor_kernel(q, lambda qq, c, s: reflect_plus(qq, a, c, s)[1], field,
+                                               target=q2),
                                 q2, lambda c, a=a: reflect_plus(q, a, c)[1]))
             q3 = all_orientations(n)[0 if q != all_orientations(n)[0] else -1]
             kernels.append(("transport", iter_tilt(q3, q, field), q3,
@@ -374,12 +374,8 @@ def suite_tilting(seed: int = DEFAULT_SEED, nmax: int = 4) -> Report:
 
 def _reverse_tilt(q: LineQuiver, q2: LineQuiver, field: FieldSpec) -> Bimodule:
     """Kernel of the inverse transport (negative reflections back)."""
-    from .shapes import reflection_path
-    iq2 = identity_prof(q2, field)
-    cur_q, cur = q2, iq2.complex
-    for a in reversed(reflection_path(q, q2)):
-        cur_q, cur = reflect_minus_obj(cur_q, a, cur, spectator=q2.poset().opposite())
-    return Bimodule(q, q2, cur)
+    from .tilting import functor_kernel
+    return functor_kernel(q2, lambda qq, c, s: untransport(q, qq, c, s), field, target=q)
 
 
 # -- criterion 10 ------------------------------------------------------------

@@ -23,8 +23,8 @@ from .derived import (ChainMap, Complex, cone, derived_hom_graded, glue, is_acyc
 from .linalg import FieldSpec, Matrix
 from .rep import all_intervals, simple
 from .functors import (SerreTable, coxeter_minus, coxeter_plus, reflect_minus_obj,
-                       reflect_plus_obj)
-from .shapes import LineQuiver, MeshWindow, Poset, embed_iQ, mesh_map_s, reflection_path
+                       reflect_plus_obj, transport)
+from .shapes import LineQuiver, MeshWindow, Poset, embed_iQ, mesh_map_s
 
 
 def _spectator(q: LineQuiver) -> Poset:
@@ -46,22 +46,12 @@ def apr_tilt(q: LineQuiver, a: int, field: FieldSpec) -> Tuple[Bimodule, Bimodul
 def iter_tilt(q2: LineQuiver, q: LineQuiver, field: FieldSpec) -> Bimodule:
     """T_{Q', Q}: the kernel of transport(q -> q2) (positive reflections
     along the canonical path)."""
-    iq = identity_prof(q, field)
-    cur_q, cur = q, iq.complex
-    for a in reflection_path(q, q2):
-        cur_q, cur = reflect_plus_obj(cur_q, a, cur, spectator=_spectator(q))
-    return Bimodule(q2, q, cur)
+    return functor_kernel(q, lambda qq, c, s: transport(qq, q2, c, s), field, target=q2)
 
 
 def coxeter_bimodule(q: LineQuiver, sign: int, field: FieldSpec) -> Bimodule:
     """C_Q^+ (sign=+1) or C_Q^- (sign=-1)."""
-    iq = identity_prof(q, field)
-    spec = _spectator(q)
-    if sign > 0:
-        out = coxeter_plus(q, iq.complex, spectator=spec)
-    else:
-        out = coxeter_minus(q, iq.complex, spectator=spec)
-    return Bimodule(q, q, out)
+    return functor_kernel(q, coxeter_plus if sign > 0 else coxeter_minus, field)
 
 
 def serre_bimodule(q: LineQuiver, field: FieldSpec) -> Bimodule:

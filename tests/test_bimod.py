@@ -137,21 +137,29 @@ def test_tensor_opposite_symmetry():
         assert homology_dims(lhs.complex, ((), ())) == homology_dims(rhs.complex, ((), ()))
 
 
-# sha256 of the serialized D_Q (x) D_Q on linear A4 over F_32003: pins every
-# term and differential of the result
+# sha256 of the serialized tensor, and the number of middle actions it builds,
+# on five inputs: D_Q (x) D_Q on linear A4 over F_32003 by each route (6
+# actions on the covers, 12 on the comparable pairs), on linear A3 over Q by
+# the hereditary and over F_5 by the bar route, and the square/D4 pair over Q
+# (the bar route with inner faces over a non-tree middle): pins every term and
+# differential of the result
 TENSOR_DIGESTS = {
     "hereditary": (6, "b35679ac94aebdba920604065799ebf15ce73b84098cf44fa1a89decf275f134"),
     "bar": (12, "563a82fb3d9bb2b9e7bb696510e29cd78909d6c413ea4a76828254234737db67"),
+    "a3-q": (4, "0a03a80ef27eafef4c981abb9ee3362e96ddaa401c559dd0d9b2bf26e5809e87"),
+    "a3-f5": (6, "597d8577e51c61580f9ec490f23e42c45d85ea96c77e8096e08e293a037a3212"),
+    "square-d4-q": (6, "121acc529e4da37cd1473ac68502298b3009f3e0ec6bfec4a1cc31efc3fa3001"),
 }
 
 
-@pytest.mark.parametrize("method", sorted(TENSOR_DIGESTS))
-def test_cancel_tensor_builds_each_action_once(method, monkeypatch):
-    """One restrict_map per middle action: 6 distinct actions on the covers of
-    A4 for the hereditary route, 12 on its comparable pairs for the bar route."""
+@pytest.mark.parametrize("case", sorted(TENSOR_DIGESTS))
+def test_cancel_tensor_builds_each_action_once(case, monkeypatch):
+    """One restrict_map per middle action, and the pinned output."""
     import hashlib
     from meshrep import bimod
+    from meshrep.linalg import QQ
     from meshrep.serialize import complex_to_json, dumps
+    from meshrep.tilting import square_d4_bimodule, square_d4_inverse
     calls = []
     original = bimod.restrict_map
 
@@ -160,9 +168,15 @@ def test_cancel_tensor_builds_each_action_once(method, monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(bimod, "restrict_map", counting)
-    dq = duality_module(LineQuiver.linear(4), F)
-    out = cancel_tensor(dq, dq, method=method)
-    n_maps, digest = TENSOR_DIGESTS[method]
+    if case in ("hereditary", "bar"):
+        dq = duality_module(LineQuiver.linear(4), F)
+        out = cancel_tensor(dq, dq, method=case)
+    elif case == "square-d4-q":
+        out = cancel_tensor(square_d4_inverse(QQ), square_d4_bimodule(QQ))
+    else:
+        dq = duality_module(LineQuiver.linear(3), QQ if case == "a3-q" else GF(5))
+        out = cancel_tensor(dq, dq, method="hereditary" if case == "a3-q" else "bar")
+    n_maps, digest = TENSOR_DIGESTS[case]
     assert len(calls) == n_maps
     assert hashlib.sha256(dumps(complex_to_json(out.complex)).encode()).hexdigest() == digest
 
