@@ -10,6 +10,11 @@ arrows split epis; squares to the right of the embedded quiver are then
 filled by honest pushouts along split monos, squares to the left by honest
 pullbacks along split epis, and the boundary rows carry contractible models
 (cones and path objects of identities), which normalize to zero.
+
+Over the point, each fill is trimmed: it is divided by a maximal
+contractible subcomplex, chosen by its spans alone and disjoint from the
+protected leg (the bottom leg of a pushout).  A pullback is trimmed through
+its linear dual, where its bottom leg becomes the protected mono.
 """
 
 from __future__ import annotations
@@ -206,80 +211,38 @@ def pullback(down: ChainMap, up: ChainMap) -> Tuple[Complex, ChainMap, ChainMap]
 
 def _trim_retract(p: Complex, protect: List[ChainMap]) -> Tuple[Complex, ChainMap]:
     """(P/A, pi) for a maximal contractible subcomplex A of the point-shape
-    complex P with A disjoint from the images of the protected maps."""
-    e = ()
-    fieldd = p.field
-    degs = p.degrees()
-    if not degs:
-        return p, ChainMap.identity(p)
-    used: Dict[int, List] = {}
+    complex P with A disjoint from the images of the protected maps.
 
-    def used_matrix(d):
-        cols = used.get(d, [])
-        dim = p.term(d).dims[e]
-        if not cols:
-            return Matrix.zeros(fieldd, dim, 0)
-        return Matrix.hstack(fieldd, cols, nrows=dim)
+    From the top degree down, the unit vectors S_d that extend what is used in
+    degree d pair with their images dS_d, which extend what is used in d - 1,
+    so A_d is spanned by S_d and dS_(d+1).  The quotient reads only these
+    spans, so A is handed to quotient_complex as terms without a differential."""
+    e, fieldd, sh, k = (), p.field, p.shape, len(protect)
+    # used[d]: the protected images in degree d, then the columns chosen for A
+    used = {d: [m.comp(d)[e] for m in protect] for d in p.degrees()}
 
-    for m in protect:
-        for d in degs:
-            blk = m.comp(d)[e]
-            if blk.ncols:
-                used.setdefault(d, []).append(blk)
-    s_cols: Dict[int, Matrix] = {}
-    ds_cols: Dict[int, Matrix] = {}
-    for d in sorted(degs, reverse=True):
+    def span(d):
+        return Matrix.hstack(fieldd, used.get(d, []), nrows=p.term(d).dims[e])
+
+    for d in reversed(p.degrees()):
         dim = p.term(d).dims[e]
-        if dim == 0:
-            continue
         eye = Matrix.identity(fieldd, dim)
-        pool_idx = complement_columns(used_matrix(d), eye)
+        pool_idx = complement_columns(span(d), eye)
         if not pool_idx:
             continue
         pool = eye.submatrix(range(dim), pool_idx)
         imgs = p.diff(d)[e] @ pool
-        sel = complement_columns(used_matrix(d - 1), imgs)
-        if not sel:
-            continue
-        s = pool.submatrix(range(dim), sel)
-        ds = imgs.submatrix(range(imgs.nrows), sel)
-        s_cols[d] = s
-        ds_cols[d - 1] = ds
-        used.setdefault(d, []).append(s)
-        used.setdefault(d - 1, []).append(ds)
-    if not s_cols:
+        sel = complement_columns(span(d - 1), imgs)
+        if sel:
+            used[d].append(pool.submatrix(range(dim), sel))
+            used[d - 1].append(imgs.submatrix(range(imgs.nrows), sel))
+    a_cols = {d: cols[k:] for d, cols in used.items() if cols[k:]}
+    if not a_cols:
         return p, ChainMap.identity(p)
-    # assemble A and its inclusion
-    a_terms: Dict[int, Rep] = {}
-    a_diffs: Dict[int, Dict] = {}
-    incl_comps: Dict[int, Dict] = {}
-    sh = p.shape
-    for d in degs:
-        s = s_cols.get(d)
-        ds = ds_cols.get(d)
-        ncols = (s.ncols if s is not None else 0) + (ds.ncols if ds is not None else 0)
-        if ncols == 0:
-            continue
-        blocks = [b for b in (s, ds) if b is not None]
-        incl_comps[d] = {e: Matrix.hstack(fieldd, blocks, nrows=p.term(d).dims[e])}
-        a_terms[d] = Rep(sh, fieldd, {e: ncols}, {}, validate=False)
-    def a_layout(d):
-        s = s_cols.get(d)
-        ds = ds_cols.get(d)
-        return (s.ncols if s is not None else 0), (ds.ncols if ds is not None else 0)
-
-    for d in degs:
-        ns, nds = a_layout(d)
-        ns_low, nds_low = a_layout(d - 1)
-        if ns == 0 or (ns_low + nds_low) == 0:
-            continue
-        # basis order [S | dS]; the differential pairs S_d with its image,
-        # which is the dS block at degree d-1
-        grid = [[None, None], [Matrix.identity(fieldd, ns), None]]
-        a_diffs[d] = {e: Matrix.block(fieldd, grid, [ns_low, nds_low], [ns, nds])}
-    acx = Complex(sh, fieldd, a_terms, a_diffs, validate=False)
-    incl = ChainMap(acx, p, incl_comps)
-    return quotient_complex(p, incl)
+    a = Complex(sh, fieldd, {d: Rep(sh, fieldd, {e: sum(c.ncols for c in cols)}, {}, validate=False)
+                             for d, cols in a_cols.items()}, {}, validate=False)
+    incl = {d: {e: Matrix.hstack(fieldd, cols)} for d, cols in a_cols.items()}
+    return quotient_complex(p, ChainMap(a, p, incl))
 
 
 def _dual_point_map(phi: ChainMap, dual_src: Complex, dual_tgt: Complex) -> ChainMap:
@@ -301,11 +264,8 @@ def _trim_pullback(a: Complex, pt: ChainMap, pb: ChainMap):
     bd = linear_dual_complex(pb.tgt, target_shape=a.shape)
     mono = _dual_point_map(pb, bd, ad)
     q, pi = _trim_retract(ad, [mono])
-    iota_comps = {}
     qd = linear_dual_complex(q, target_shape=a.shape)
-    for d in sorted(set(a.degrees()) | set(qd.degrees())):
-        iota_comps[d] = {(): pi.comp(-d)[()].transpose()}
-    iota = ChainMap(qd, a, iota_comps)
+    iota = _dual_point_map(pi, qd, a)
     return qd, pt.compose(iota), pb.compose(iota)
 
 
@@ -369,7 +329,7 @@ class ARDiagram:
                         self.arrows[(top, right)], self.arrows[(bottom, right)])
         return is_bicartesian(square)
 
-    def verify(self, check_squares: bool = True) -> Dict[str, bool]:
+    def verify(self) -> Dict[str, bool]:
         report = {"boundary_zero": True, "squares_bicartesian": True, "strict": True}
         for v in self.window.vertices():
             if v[1] in (0, self.n + 1) and not self.is_zero_at(v):
@@ -379,41 +339,41 @@ class ARDiagram:
                 phi.validate()
         except ValueError:
             report["strict"] = False
-        if check_squares:
-            for sq in self.window.squares():
-                if not self.square_certificate(sq):
-                    report["squares_bicartesian"] = False
-                    break
+        for sq in self.window.squares():
+            if not self.square_certificate(sq):
+                report["squares_bicartesian"] = False
+                break
         return report
 
     # -- exports ---------------------------------------------------------------
 
-    def to_dot(self, suppress_boundary: bool = True) -> str:
+    def to_dot(self) -> str:
+        """Graphviz source of the interior: the boundary rows and their arrows are left out."""
         lines = ["digraph ar {", '  rankdir="LR";']
         def vid(v):
             return f'"v{v[0]}_{v[1]}"'
         for v in sorted(self.window.vertices()):
-            if suppress_boundary and v[1] in (0, self.n + 1):
+            if v[1] in (0, self.n + 1):
                 continue
             label = self._label(v)
             lines.append(f'  {vid(v)} [label="{label}"];')
         for (a, b) in sorted(self.arrows.keys()):
-            if suppress_boundary and (a[1] in (0, self.n + 1) or b[1] in (0, self.n + 1)):
+            if a[1] in (0, self.n + 1) or b[1] in (0, self.n + 1):
                 continue
             lines.append(f"  {vid(a)} -> {vid(b)};")
         lines.append("}")
         return "\n".join(lines) + "\n"
 
-    def to_tikz(self, suppress_boundary: bool = True) -> str:
+    def to_tikz(self) -> str:
         lines = ["\\begin{tikzpicture}[x=1.4cm,y=1.0cm]"]
         for v in sorted(self.window.vertices()):
-            if suppress_boundary and v[1] in (0, self.n + 1):
+            if v[1] in (0, self.n + 1):
                 continue
             k, l = v
             x = 2 * k + l
             lines.append(f"  \\node (v{k}_{l}) at ({x},{l}) {{${self._label(v)}$}};")
         for (a, b) in sorted(self.arrows.keys()):
-            if suppress_boundary and (a[1] in (0, self.n + 1) or b[1] in (0, self.n + 1)):
+            if a[1] in (0, self.n + 1) or b[1] in (0, self.n + 1):
                 continue
             lines.append(f"  \\draw[->] (v{a[0]}_{a[1]}) -- (v{b[0]}_{b[1]});")
         lines.append("\\end{tikzpicture}")
@@ -537,7 +497,7 @@ def merge_window_complex(d: ARDiagram) -> Complex:
 # suspension identification and orbit count
 
 
-def check_flip_sigma(d: ARDiagram, corrupt: Optional[Vertex] = None) -> Dict[Vertex, bool]:
+def check_flip_sigma(d: ARDiagram) -> Dict[Vertex, bool]:
     """Vertexwise check that the value at f(v) is the suspension of the value
     at v, for interior v with both vertices in the window."""
     out = {}
@@ -546,13 +506,7 @@ def check_flip_sigma(d: ARDiagram, corrupt: Optional[Vertex] = None) -> Dict[Ver
         fv = mesh_map_f(n, v)
         if fv not in d.window:
             continue
-        lhs = d.canonical(fv)
-        rhs = d.canonical(v)
-        shifted = {deg + 1: m for deg, m in rhs.items()}
-        ok = lhs == shifted
-        if corrupt == v:
-            ok = not ok
-        out[v] = ok
+        out[v] = d.canonical(fv) == {deg + 1: m for deg, m in d.canonical(v).items()}
     return out
 
 

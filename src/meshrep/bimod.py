@@ -365,14 +365,3 @@ def bimodules_quasi_isomorphic(a: Bimodule, b: Bimodule, seed: int = 0) -> bool:
         if not ha.is_zero() and find_isomorphism(ha, hb, seed=seed) is None:
             return False
     return True
-
-
-def homology_pattern(b: Bimodule) -> Dict[int, Dict]:
-    out = {}
-    c = b.complex
-    degs = c.degrees()
-    for d in range(min(degs), max(degs) + 1) if degs else []:
-        h = homology_rep(c, d)
-        if not h.is_zero():
-            out[d] = {e: h.dims[e] for e in c.shape.elements if h.dims[e]}
-    return out

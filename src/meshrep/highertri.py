@@ -542,21 +542,22 @@ def extend_morphism(s: NTriangle, t: NTriangle, base_map: Dict[Tuple[int, int], 
 # exports
 
 
-def triangle_to_dot(t: NTriangle, suppress_boundary: bool = True) -> str:
+def triangle_to_dot(t: NTriangle) -> str:
+    """Graphviz source of the interior, the vertices of phi marked with *."""
     lines = ["digraph ntriangle {", '  rankdir="LR";']
 
     def vid(v):
         return f'"v{v[0]}_{v[1]}"'
 
     for v in sorted(t.vertices):
-        if suppress_boundary and v[1] in (0, t.n + 1):
+        if v[1] in (0, t.n + 1):
             continue
         h = t.hdim(v)
         label = "+".join(f"k^{m}[{d}]" for d, m in sorted(h.items())) or "0"
         mark = " *" if v in t.phi else ""
         lines.append(f'  {vid(v)} [label="{label}{mark}"];')
     for (a, b) in sorted(_covers_of(t.vertices, t.n)):
-        if suppress_boundary and (a[1] in (0, t.n + 1) or b[1] in (0, t.n + 1)):
+        if a[1] in (0, t.n + 1) or b[1] in (0, t.n + 1):
             continue
         lines.append(f"  {vid(a)} -> {vid(b)};")
     lines.append("}")

@@ -433,10 +433,10 @@ def assemble(q: LineQuiver, multiset: Dict[Interval, int], field: FieldSpec) -> 
 # isomorphism testing
 
 
-def find_isomorphism(x: Rep, y: Rep, seed: int = 0, tries: int = 40) -> Optional[Dict[Element, Matrix]]:
+def find_isomorphism(x: Rep, y: Rep, seed: int = 0) -> Optional[Dict[Element, Matrix]]:
     """An invertible intertwiner x -> y, or None.
 
-    Searches seeded random linear combinations of a hom basis, with a
+    Searches 40 seeded random linear combinations of a hom basis, with a
     deterministic small-coefficient fallback; sound for yes-instances with
     overwhelming probability over big fields.
     """
@@ -464,7 +464,7 @@ def find_isomorphism(x: Rep, y: Rep, seed: int = 0, tries: int = 40) -> Optional
     def invertible(phi) -> bool:
         return all(is_invertible(phi[e]) for e in elems)
 
-    for _ in range(tries):
+    for _ in range(40):
         coeffs = [int(c) for c in rng.integers(0, field.p if not field.is_rational else 101,
                                                size=len(basis))]
         phi = combine(coeffs)

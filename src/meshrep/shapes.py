@@ -338,11 +338,6 @@ class MeshWindow:
         return out
 
 
-def default_window(n: int, domains: int = 1) -> MeshWindow:
-    """Window [-1, n+2] extended by (domains-1) extra fundamental domains."""
-    return MeshWindow(n, -1, n + 2 + (domains - 1) * (n + 1))
-
-
 # ---------------------------------------------------------------------------
 # embeddings of line quivers into the mesh
 

@@ -19,13 +19,13 @@ from .bimod import (Bimodule, bar_tensor_oracle, bimodules_quasi_isomorphic,
 from .derived import Complex, DerivedObject, derived_hom_dim, normalize
 from .linalg import GF, QQ, FieldSpec
 from .rep import all_intervals, decompose, interval_module, random_interval_sum
-from .functors import (SerreTable, coxeter_plus, reflect_minus, reflect_minus_obj, reflect_plus,
-                       reflect_plus_obj, serre, transport, untransport)
+from .functors import (SerreTable, coxeter_minus, coxeter_plus, reflect_minus, reflect_minus_obj,
+                       reflect_plus, reflect_plus_obj, serre, transport, untransport)
 from .shapes import LineQuiver, MeshWindow, all_orientations, embed_iQ, is_admissible_sequence
-from .tilting import (apr_tilt, apply_bimodule, iter_tilt, picard_check, serre_bimodule,
-                      square_d4_bimodule, square_d4_inverse, square_d4_pattern_matches,
-                      tilting_check, yoneda_restriction_is_identity, yoneda_serre_twist_holds,
-                      yoneda_window)
+from .tilting import (apr_tilt, apply_bimodule, coxeter_bimodule, iter_tilt, picard_check,
+                      serre_bimodule, square_d4_bimodule, square_d4_inverse,
+                      square_d4_pattern_matches, tilting_check, yoneda_restriction_is_identity,
+                      yoneda_serre_twist_holds, yoneda_window)
 
 DEFAULT_SEED = 20260810
 
@@ -270,7 +270,6 @@ def suite_kernels(seed: int = DEFAULT_SEED, nmax: int = 4, oracle_pairs: int = 1
                 if not bimodules_quasi_isomorphic(cancel_tensor(tp, tm), identity_prof(q2, field)):
                     return Report("kernels", False, "T+ (x) T- != I", f"{q} sink {a}")
     # functor/kernel agreement
-    from .functors import coxeter_minus as cm, coxeter_plus as cp
     from .tilting import functor_kernel
     agreements = 0
     for n in range(2, nmax + 1):
@@ -279,12 +278,9 @@ def suite_kernels(seed: int = DEFAULT_SEED, nmax: int = 4, oracle_pairs: int = 1
             kernels: List[Tuple[str, Bimodule, LineQuiver, Callable]] = []
             kernels.append(("sigma", functor_kernel(q, lambda qq, c, s: c.shift(1), field), q,
                             lambda c: c.shift(1)))
-            kernels.append(("coxeter+", functor_kernel(q, lambda qq, c, s: cp(qq, c, spectator=s), field), q,
-                            lambda c: cp(q, c)))
-            kernels.append(("coxeter-", functor_kernel(q, lambda qq, c, s: cm(qq, c, spectator=s), field), q,
-                            lambda c: cm(q, c)))
-            kernels.append(("serre", functor_kernel(q, lambda qq, c, s: cp(qq, c, spectator=s).shift(1), field), q,
-                            lambda c: serre(q, c)))
+            kernels.append(("coxeter+", coxeter_bimodule(q, +1, field), q, lambda c: coxeter_plus(q, c)))
+            kernels.append(("coxeter-", coxeter_bimodule(q, -1, field), q, lambda c: coxeter_minus(q, c)))
+            kernels.append(("serre", serre_bimodule(q, field), q, lambda c: serre(q, c)))
             for a in q.sinks()[:1]:
                 q2 = q.reflect(a)
                 kernels.append((f"reflect+{a}",

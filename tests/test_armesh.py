@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -16,9 +17,8 @@ from meshrep.rep import (Interval, Rep, all_intervals, decompose, hom_space,
                          interval_module, interval_presentation, projective_interval,
                          random_interval_sum)
 from meshrep.functors import SerreTable, serre, transport, transport_embedding
-from meshrep.shapes import (LineQuiver, MeshWindow, all_orientations, default_window,
-                            embed_iQ, happel_table, mesh_interval, mesh_map_f, mesh_map_s,
-                            point_poset)
+from meshrep.shapes import (LineQuiver, MeshWindow, all_orientations, embed_iQ, happel_table,
+                            mesh_interval, mesh_map_f, mesh_map_s, point_poset)
 
 F = GF(32003)
 
@@ -195,10 +195,10 @@ def test_flip_sigma():
     d = build_ar(q, x)
     res = check_flip_sigma(d)
     assert res and all(res.values())
-    # negative control: corrupting one vertex flips its verdict
-    v = next(iter(res))
-    res2 = check_flip_sigma(d, corrupt=v)
-    assert not res2[v]
+    # negative control: the value at f(v) replaced by the unshifted value at v
+    v = next(v for v in res if not d.is_zero_at(v))
+    bent = dataclasses.replace(d, values={**d.values, mesh_map_f(d.n, v): d.values[v]})
+    assert check_flip_sigma(bent)[v] is False
 
 
 def test_flip_sigma_shifted_input():

@@ -3,7 +3,7 @@ import pytest
 
 from meshrep.bimod import (Bimodule, bar_tensor_oracle, bimodule_shape,
                            bimodules_quasi_isomorphic, cancel_tensor,
-                           duality_module, from_left_complex, homology_pattern,
+                           duality_module, from_left_complex,
                            identity_prof, linear_dual, to_left_complex)
 from meshrep.derived import Complex, DerivedObject, normalize
 from meshrep.linalg import GF, Matrix

@@ -541,11 +541,19 @@ def _block_outputs(field) -> str:
     return json.dumps(out, sort_keys=True)
 
 
-def _ar_output(field) -> str:
-    """JSON of one AR diagram merged into a complex over its window."""
-    q = LineQuiver.linear(3)
-    c = Complex.from_rep(interval_module(q, 1, 3, field).direct_sum(interval_module(q, 2, 2, field)))
-    return json.dumps(_cx(merge_window_complex(build_ar(q, c.shift(1)))), sort_keys=True)
+def _ar_output(case, field) -> str:
+    """JSON of one AR diagram merged into a complex over its window.  The A3
+    input sits in one degree and is trimmed in at most 2 degrees per fill;
+    the FBF zigzag on A4 has terms in degrees 0 and 1 and is trimmed in up to 4."""
+    if case == "A3":
+        q = LineQuiver.linear(3)
+        x = interval_module(q, 1, 3, field).direct_sum(interval_module(q, 2, 2, field))
+        c = Complex.from_rep(x, 1)
+    else:
+        q = LineQuiver(4, "FBF")
+        x = interval_module(q, 1, 4, field).direct_sum(interval_module(q, 2, 3, field))
+        c = Complex.from_rep(x).direct_sum(Complex.from_rep(interval_module(q, 3, 4, field), 1))
+    return json.dumps(_cx(merge_window_complex(build_ar(q, c))), sort_keys=True)
 
 
 # recorded from the block constructions before the AR diagram got a hash of its own
@@ -554,11 +562,19 @@ BLOCK_GOLDEN = {
     "F32003": "c41b863a64c6a2d20d4ec5053e663b690cbe31a8e47bfbd2e197a546348f90b0",
     "Q": "36f527ebd14b01208fb7d4e3cdebff7c0f8d5d01a6b61fcd43e3abd9365bb9b1",
 }
-# recorded from the stiffening that adds one contractible summand per earlier vertex
 AR_GOLDEN = {
-    "F5": "3c8e658432c6ab2e8b0d511fc6be763b5690d0f44ce24b1d7ae6caabd20d7fa7",
-    "F32003": "3f92ae6dcba4a227709d4761123f498a1f8d327fa356baeab827efe4198b2959",
-    "Q": "d23930073bfa0edde90ce3ece5de5b80964d9553975ec2ad2cd8510ee2082b5d",
+    # recorded from the stiffening that adds one contractible summand per earlier vertex
+    "A3": {
+        "F5": "3c8e658432c6ab2e8b0d511fc6be763b5690d0f44ce24b1d7ae6caabd20d7fa7",
+        "F32003": "3f92ae6dcba4a227709d4761123f498a1f8d327fa356baeab827efe4198b2959",
+        "Q": "d23930073bfa0edde90ce3ece5de5b80964d9553975ec2ad2cd8510ee2082b5d",
+    },
+    # recorded while the trim still assembled its contractible subcomplex with a differential
+    "FBF": {
+        "F5": "44fc6d2a48389b1af1b59233731b5026d5e01136717e26c73f214b3da7bb4eab",
+        "F32003": "bd3f6e105d9851718f30a3bdaef91d9937c0e771e7531b228694ac3e20c4b716",
+        "Q": "dbc50bef56058e9f54a02b38e0ef338fa1b95e440d63426f3ffb21dc29fdeb1e",
+    },
 }
 
 
@@ -571,7 +587,8 @@ def test_block_constructions_are_pinned(field):
 
 
 @pytest.mark.parametrize("field", [GF(5), GF(32003), QQ], ids=["F5", "F32003", "Q"])
-def test_ar_diagram_is_pinned(field):
+@pytest.mark.parametrize("case", ["A3", "FBF"])
+def test_ar_diagram_is_pinned(case, field):
     """The exact bytes of one AR diagram: stiffening, fills and trimming."""
-    got = hashlib.sha256(_ar_output(field).encode()).hexdigest()
-    assert got == AR_GOLDEN[str(field)]
+    got = hashlib.sha256(_ar_output(case, field).encode()).hexdigest()
+    assert got == AR_GOLDEN[case][str(field)]

@@ -9,7 +9,7 @@ from meshrep.highertri import (HomologyTriangle, NTriangle, base, canonical_phi,
                                standard_homology, standard_triangle, translate)
 from meshrep.linalg import GF, QQ, Matrix, inverse, is_invertible
 from meshrep.rep import Rep, all_intervals, hom_space, interval_module, random_interval_sum
-from meshrep.shapes import (LineQuiver, MeshWindow, all_orientations, default_window, mesh_map_f,
+from meshrep.shapes import (LineQuiver, MeshWindow, all_orientations, mesh_map_f,
                             mesh_map_f_inv)
 
 F = GF(32003)
