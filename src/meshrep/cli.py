@@ -87,6 +87,16 @@ def _interval_complex(q: LineQuiver, spec: str, field: FieldSpec) -> Complex:
     return Complex.from_rep(interval_module(q, i, j, field))
 
 
+def _input_complex(q: LineQuiver, f: FieldSpec, interval: Optional[str],
+                   input_path: Optional[str]) -> Optional[Complex]:
+    """The --interval module, else the --input rep or complex, else None."""
+    if interval:
+        return _interval_complex(q, interval, f)
+    if input_path:
+        return _load_complex(input_path, q, f)
+    return None
+
+
 @click.group()
 def main():
     """Exact computations with representations of A_n quivers."""
@@ -115,12 +125,8 @@ def _functor_command(name, fn):
     @click.option("--target", help="target orientation for transport")
     def cmd(quiver, field, interval, input_path, vertex, target):
         q = _quiver(quiver)
-        f = _field(field)
-        if interval:
-            c = _interval_complex(q, interval, f)
-        elif input_path:
-            c = _load_complex(input_path, q, f)
-        else:
+        c = _input_complex(q, _field(field), interval, input_path)
+        if c is None:
             raise click.UsageError("need --interval or --input")
         q2, out = fn(q, c, vertex=vertex, target=target)
         norm = normalize(q2, out)
@@ -179,11 +185,8 @@ def ar_quiver(quiver, field, interval, input_path, fmt, kmin, kmax):
     """Emit the coherent AR quiver of a complex."""
     q = _quiver(quiver)
     f = _field(field)
-    if interval:
-        c = _interval_complex(q, interval, f)
-    elif input_path:
-        c = _load_complex(input_path, q, f)
-    else:
+    c = _input_complex(q, f, interval, input_path)
+    if c is None:
         c = Complex.zero(q.poset(), f)
     if (kmin is None) != (kmax is None):
         raise click.UsageError("--kmin and --kmax go together")
@@ -282,12 +285,8 @@ def triangle(quiver, field, interval, input_path, do_verify):
     """Fill a base to a standard n-triangle (and optionally verify it)."""
     from .highertri import is_distinguished, standard_triangle
     q = _quiver(quiver)
-    f = _field(field)
-    if interval:
-        c = _interval_complex(q, interval, f)
-    elif input_path:
-        c = _load_complex(input_path, q, f)
-    else:
+    c = _input_complex(q, _field(field), interval, input_path)
+    if c is None:
         raise click.UsageError("need --interval or --input")
     t = standard_triangle(q, c)
     lines = []

@@ -18,22 +18,18 @@ is_distinguished for why this is sound).
 
 from __future__ import annotations
 
-import itertools
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
-
-import numpy as np
 
 from .armesh import ar_window, build_ar
 from .derived import (ChainMap, Complex, glue, homology_basis, homology_coordinates,
                       homology_dims, normalize)
-from .linalg import (FieldSpec, Matrix, is_invertible, kernel_basis, solve, split_vector,
-                     sylvester_system)
+from .linalg import (FieldSpec, Matrix, invertible_member, is_invertible, kernel_basis, solve,
+                     split_vector, sylvester_system)
 from .linalg import rref  # noqa: F401  perfbench checks that its tracer wraps this binding
 from .rep import Interval
 from .shapes import (LineQuiver, MeshWindow, embed_iQ, happel_table, induced_alpha, mesh_degree,
-                     mesh_leq, mesh_map_f, mesh_map_t)
+                     mesh_map_f, mesh_map_t)
 
 Vertex = Tuple[int, int]
 
@@ -80,35 +76,6 @@ class NTriangle:
             if m.nrows and m.ncols:
                 out[d] = m
         return out
-
-    def path_map(self, a: Vertex, b: Vertex) -> Optional[ChainMap]:
-        """Chain map along some monotone path a -> b inside the vertex set."""
-        if a == b:
-            return ChainMap.identity(self.values[a])
-        # BFS over monotone steps staying in the vertex set
-        prev: Dict[Vertex, Vertex] = {}
-        dq = deque([a])
-        while dq:
-            cur = dq.popleft()
-            if cur == b:
-                break
-            k, l = cur
-            for nxt in ((k, l + 1), (k + 1, l - 1)):
-                if nxt in prev or nxt == a:
-                    continue
-                if nxt in self.vertices and 0 <= nxt[1] <= self.n + 1 and mesh_leq(nxt, b):
-                    prev[nxt] = cur
-                    dq.append(nxt)
-        if b not in prev:
-            return None
-        path = [b]
-        while path[-1] != a:
-            path.append(prev[path[-1]])
-        path.reverse()
-        fmap = ChainMap.identity(self.values[a])
-        for x, y in zip(path, path[1:]):
-            fmap = self.arrows[(x, y)].compose(fmap)
-        return fmap
 
     def phi_invertible(self) -> bool:
         for v, mats in self.phi.items():
@@ -244,21 +211,21 @@ def fill_base(q: LineQuiver, x: Complex, window: Optional[MeshWindow] = None) ->
 
 def _relocate(t: NTriangle, vmap: Callable[[Vertex], Vertex],
               m: Optional[int] = None) -> Tuple[Set[Vertex], Dict, Dict]:
-    """Pull the strict diagram back along a map of mesh categories."""
+    """Pull the strict diagram back along a map of mesh categories.  Each
+    such map sends a cover to one straight line (translate and flip to a
+    cover; in the arc model of shapes.induced_alpha a column cover keeps its
+    left end and a diagonal cover its right end) or collapses it to a
+    vertex, so each arrow is a _line_map of t."""
     n_new = m if m is not None else t.n
     ks = [v[0] for v in t.vertices]
     lo, hi = min(ks) - (n_new + t.n + 4), max(ks) + (n_new + t.n + 4)
     verts = {(k, l) for k in range(lo, hi + 1) for l in range(n_new + 2)
              if vmap((k, l)) in t.vertices}
     values = {v: t.values[vmap(v)] for v in verts}
-    arrows = {}
+    arrows, memo = {}, {}
     for (a, b) in _covers_of(verts, n_new):
-        if vmap(a) == vmap(b):
-            arrows[(a, b)] = ChainMap.identity(values[a])
-            continue
-        pm = t.path_map(vmap(a), vmap(b))
+        pm = _line_map(t, vmap(a), vmap(b), memo)
         if pm is None:
-            # unreachable through the stored set: drop the vertices instead
             raise RuntimeError(f"cannot transport arrow {a}->{b}")
         arrows[(a, b)] = pm
     return verts, values, arrows
@@ -448,37 +415,11 @@ def find_triangle_morphism(s: NTriangle | HomologyTriangle, t: NTriangle | Homol
     slots, shapes, hom, part = _solution_space(s, t, verts, pins=pins)
     if part is None:
         return None
-    fieldd = s.fieldspec
-    part = [row[0] for row in part.rows()]
-    if not require_iso:
-        return dict(zip(slots, split_vector(fieldd, part, shapes)))
-    rng = np.random.default_rng(seed)
-    p = fieldd.p if not fieldd.is_rational else 101
-    cols = list(zip(*hom.rows()))
-
-    def attempt(coeffs):
-        vals = part
-        for c, col in zip(coeffs, cols):
-            if c:
-                vals = [x + y * c for x, y in zip(vals, col)]
-        psi = dict(zip(slots, split_vector(fieldd, vals, shapes)))
-        for m in psi.values():
-            if m.nrows != m.ncols or not is_invertible(m):
-                return None
-        return psi
-
-    # a random member of the affine solution space is invertible whenever an
-    # invertible member exists (Schwartz-Zippel over a large field)
-    for _ in range(25):
-        got = attempt([int(c) for c in rng.integers(0, p, size=hom.ncols)])
-        if got is not None:
-            return got
-    if hom.ncols <= 3:
-        for coeffs in itertools.product(range(-1, 2), repeat=hom.ncols):
-            got = attempt(coeffs)
-            if got is not None:
-                return got
-    return None
+    if require_iso:
+        found = invertible_member(s.fieldspec, shapes, part, hom, seed)
+    else:
+        found = split_vector(s.fieldspec, [row[0] for row in part.rows()], shapes)
+    return None if found is None else dict(zip(slots, found))
 
 
 def phi_is_canonical(t: NTriangle) -> Tuple[bool, int]:

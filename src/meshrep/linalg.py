@@ -636,6 +636,37 @@ def split_vector(field: FieldSpec, vals: Sequence[Scalar],
     return out
 
 
+def invertible_member(field: FieldSpec, shapes: Sequence[Tuple[int, int]], part: Matrix,
+                      span: Matrix, seed: int) -> Optional[List[Matrix]]:
+    """The split_vector blocks of part + span c for a column c, all square and
+    invertible, or None when no c tried gives such blocks.
+
+    The blocks of part + span c are invertible iff the product of their
+    determinants, a polynomial in c of degree at most the sum of the block
+    sizes, is nonzero at c.  When that polynomial is not zero, a c drawn
+    uniformly from F_p^k is a root with probability at most degree / p
+    (Schwartz-Zippel), so the seeded draws find a member over a large field.
+    Then, with at most 6 columns of span, every c with entries in -2..2 is
+    tried: over F_3 and F_5 that is every c, and None means that no member
+    is invertible.  Over Q the draws take entries in 0..100.  With no
+    columns, part is the one member."""
+    k = span.ncols
+    cols = list(zip(*span.rows()))
+    part_vals = [row[0] for row in part.rows()]
+    rng = np.random.default_rng(seed)
+    draws = (rng.integers(0, field.p or 101, size=k).tolist() for _ in range(40 if k else 1))
+    small = itertools.product(range(-2, 3), repeat=k) if 0 < k <= 6 else ()
+    for coeffs in itertools.chain(draws, small):
+        vals = part_vals
+        for c, col in zip(coeffs, cols):
+            if c:
+                vals = [x + y * c for x, y in zip(vals, col)]
+        blocks = split_vector(field, vals, shapes)
+        if all(map(is_invertible, blocks)):
+            return blocks
+    return None
+
+
 def complement_columns(sub: Matrix, cand: Matrix) -> List[int]:
     """Indices of the columns of cand that extend span(sub) to span([sub | cand]):
     the pivots of rref([sub | cand]) beyond the sub block."""

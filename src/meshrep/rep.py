@@ -10,15 +10,14 @@ the standard projective / injective / simple families.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .linalg import (FieldSpec, Matrix, complement_columns, inverse, is_invertible, kernel_basis,
-                     rref, solve, split_vector, sylvester_system)
+from .linalg import (FieldSpec, Matrix, complement_columns, inverse, invertible_member,
+                     kernel_basis, rref, solve, split_vector, sylvester_system)
 from .shapes import Element, LineQuiver, Poset
 
 Cover = Tuple[Element, Element]
@@ -255,11 +254,11 @@ def injective_interval(q: LineQuiver, v: int) -> Interval:
 # hom spaces
 
 
-def hom_space(x: Rep, y: Rep) -> List[Dict[Element, Matrix]]:
-    """Basis of the space of intertwiners x -> y.
-
-    Solves the linear system y(a->b) . phi_a = phi_b . x(a->b) over all covers.
-    """
+def _hom_kernel(x: Rep, y: Rep) -> Tuple[List[Tuple[int, int]], Matrix]:
+    """(shapes, kernel): the intertwiners x -> y are the split_vector blocks
+    of shapes, one per element of the shape in order, of the members of the
+    column span of kernel.  Solves y(a->b) . phi_a = phi_b . x(a->b) over
+    all covers."""
     if x.shape.elements != y.shape.elements:
         raise ValueError("shape mismatch")
     if x.field != y.field:
@@ -268,12 +267,18 @@ def hom_space(x: Rep, y: Rep) -> List[Dict[Element, Matrix]]:
     elems = x.shape.elements
     shapes = [(y.dims[e], x.dims[e]) for e in elems]
     if not any(r * c for r, c in shapes):
-        return []
+        return shapes, Matrix.zeros(field, 0, 0)
     idx = {e: i for i, e in enumerate(elems)}
     sys = sylvester_system(field, shapes, [(idx[a], y.mats[(a, b)], idx[b], x.mats[(a, b)])
                                            for (a, b) in x.shape.covers])
-    return [dict(zip(elems, split_vector(field, col, shapes)))
-            for col in zip(*kernel_basis(sys).rows())]
+    return shapes, kernel_basis(sys)
+
+
+def hom_space(x: Rep, y: Rep) -> List[Dict[Element, Matrix]]:
+    """Basis of the space of intertwiners x -> y."""
+    shapes, kernel = _hom_kernel(x, y)
+    return [dict(zip(x.shape.elements, split_vector(x.field, col, shapes)))
+            for col in zip(*kernel.rows())]
 
 
 def hom_dim(x: Rep, y: Rep) -> int:
@@ -434,48 +439,14 @@ def assemble(q: LineQuiver, multiset: Dict[Interval, int], field: FieldSpec) -> 
 
 
 def find_isomorphism(x: Rep, y: Rep, seed: int = 0) -> Optional[Dict[Element, Matrix]]:
-    """An invertible intertwiner x -> y, or None.
-
-    Searches 40 seeded random linear combinations of a hom basis, with a
-    deterministic small-coefficient fallback; sound for yes-instances with
-    overwhelming probability over big fields.
-    """
+    """An invertible intertwiner x -> y, or None: linalg.invertible_member
+    over the hom space, which says how it searches."""
     if x.dims != y.dims:
         return None
-    if all(d == 0 for d in x.dims.values()):
-        return {e: Matrix.zeros(x.field, 0, 0) for e in x.shape.elements}
-    basis = hom_space(x, y)
-    if not basis:
-        return None
-    field = x.field
-    rng = np.random.default_rng(seed)
-    elems = [e for e in x.shape.elements if x.dims[e] > 0]
-
-    def combine(coeffs) -> Dict[Element, Matrix]:
-        phi = {}
-        for e in x.shape.elements:
-            acc = Matrix.zeros(field, y.dims[e], x.dims[e])
-            for c, base in zip(coeffs, basis):
-                if c:
-                    acc = acc + base[e].scale(c)
-            phi[e] = acc
-        return phi
-
-    def invertible(phi) -> bool:
-        return all(is_invertible(phi[e]) for e in elems)
-
-    for _ in range(40):
-        coeffs = [int(c) for c in rng.integers(0, field.p if not field.is_rational else 101,
-                                               size=len(basis))]
-        phi = combine(coeffs)
-        if invertible(phi):
-            return phi
-    if len(basis) <= 6:
-        for coeffs in itertools.product(range(-2, 3), repeat=len(basis)):
-            phi = combine(coeffs)
-            if invertible(phi):
-                return phi
-    return None
+    shapes, kernel = _hom_kernel(x, y)
+    found = invertible_member(x.field, shapes, Matrix.zeros(x.field, kernel.nrows, 1), kernel,
+                              seed)
+    return None if found is None else dict(zip(x.shape.elements, found))
 
 
 # ---------------------------------------------------------------------------

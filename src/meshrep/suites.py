@@ -22,8 +22,8 @@ from .rep import all_intervals, decompose, interval_module, random_interval_sum
 from .functors import (SerreTable, coxeter_minus, coxeter_plus, reflect_minus, reflect_minus_obj,
                        reflect_plus, reflect_plus_obj, serre, transport, untransport)
 from .shapes import LineQuiver, MeshWindow, all_orientations, embed_iQ, is_admissible_sequence
-from .tilting import (apr_tilt, apply_bimodule, coxeter_bimodule, iter_tilt, picard_check,
-                      serre_bimodule, square_d4_bimodule, square_d4_inverse,
+from .tilting import (apr_tilt, apply_bimodule, coxeter_bimodule, functor_kernel, iter_tilt,
+                      picard_check, serre_bimodule, square_d4_bimodule, square_d4_inverse,
                       square_d4_pattern_matches, tilting_check, yoneda_restriction_is_identity,
                       yoneda_serre_twist_holds, yoneda_window)
 
@@ -270,7 +270,6 @@ def suite_kernels(seed: int = DEFAULT_SEED, nmax: int = 4, oracle_pairs: int = 1
                 if not bimodules_quasi_isomorphic(cancel_tensor(tp, tm), identity_prof(q2, field)):
                     return Report("kernels", False, "T+ (x) T- != I", f"{q} sink {a}")
     # functor/kernel agreement
-    from .tilting import functor_kernel
     agreements = 0
     for n in range(2, nmax + 1):
         qs = all_orientations(n) if n <= 3 else [LineQuiver.linear(n), all_orientations(n)[-1]]
@@ -370,7 +369,6 @@ def suite_tilting(seed: int = DEFAULT_SEED, nmax: int = 4) -> Report:
 
 def _reverse_tilt(q: LineQuiver, q2: LineQuiver, field: FieldSpec) -> Bimodule:
     """Kernel of the inverse transport (negative reflections back)."""
-    from .tilting import functor_kernel
     return functor_kernel(q2, lambda qq, c, s: untransport(q, qq, c, s), field, target=q)
 
 

@@ -170,10 +170,13 @@ def test_criterion_07_bimodule_calculus():
 
 def test_kernels_fails_when_each_kernel_is_shifted_once_more(monkeypatch):
     """Negative control: a functor_kernel whose bimodule is shifted once more
-    than the functor makes kernels FAIL."""
+    than the functor makes kernels FAIL.  It is patched where suites looks it
+    up, and in tilting for the Coxeter and Serre kernels built there."""
     from meshrep import tilting
     kernel = tilting.functor_kernel
-    monkeypatch.setattr(tilting, "functor_kernel", lambda *a, **kw: kernel(*a, **kw).shift(1))
+    shifted = lambda *a, **kw: kernel(*a, **kw).shift(1)  # noqa: E731
+    monkeypatch.setattr(suites, "functor_kernel", shifted)
+    monkeypatch.setattr(tilting, "functor_kernel", shifted)
     rep = suites.suite_kernels(seed=DEFAULT_SEED, nmax=2, oracle_pairs=0)
     assert not rep.passed and rep.detail == "kernel disagrees with sigma", rep.line()
 

@@ -9,10 +9,14 @@ through Python itself; both are exempt.
 
 No code writes into a Rep, Complex or ChainMap after its constructor, and
 only homology_basis fills the homology bases kept on a Complex.
+
+The package imports its submodules only when one of their names is used.
 """
 
 import ast
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -144,3 +148,32 @@ def test_values_are_written_only_by_their_constructors():
            "class Complex:\n    def __init__(self):\n        self._homology = {}\n"
            "        self._homology[0] = {}\n")
     assert _writes_into_values(ast.parse(bad)) == [2, 3, 4, 5, 6, 7, 12, 13, 16, 20]
+
+
+LAZY_CHECK = """
+import sys
+import meshrep
+print(sorted(m for m in sys.modules if m.startswith("meshrep.")))
+import meshrep.suites
+print("meshrep.highertri" in sys.modules)
+"""
+
+
+def test_every_name_in_all_imports_lazily():
+    """`import meshrep` loads no submodule and `import meshrep.suites` does
+    not load highertri; `from meshrep import X` gives the object of X's
+    module for every X in __all__, dir() lists each, and no other name
+    resolves."""
+    out = subprocess.run([sys.executable, "-c", LAZY_CHECK], capture_output=True, text=True,
+                         check=True, env={"PYTHONPATH": str(ROOT / "src")}).stdout.split("\n")
+    assert out[:2] == ["[]", "False"]
+    import meshrep
+    for name in meshrep.__all__:
+        scope = {}
+        exec(f"from meshrep import {name}", scope)
+        home = sys.modules[f"meshrep.{meshrep._HOME[name]}"]
+        assert scope[name] is vars(home)[name], name
+        assert name in dir(meshrep)
+    assert len(set(meshrep.__all__)) == len(meshrep.__all__) == 40
+    for name in ("hom_dim", "functor_kernel", "Tracer"):
+        assert not hasattr(meshrep, name), name

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -8,9 +11,10 @@ from meshrep.highertri import (HomologyTriangle, NTriangle, base, canonical_phi,
                                homology_matrix, inverse_image, is_distinguished, phi_is_canonical,
                                standard_homology, standard_triangle, translate)
 from meshrep.linalg import GF, QQ, Matrix, inverse, is_invertible
-from meshrep.rep import Rep, all_intervals, hom_space, interval_module, random_interval_sum
-from meshrep.shapes import (LineQuiver, MeshWindow, all_orientations, mesh_map_f,
-                            mesh_map_f_inv)
+from meshrep.rep import (Rep, all_intervals, assemble, hom_space, interval_module,
+                         random_interval_sum)
+from meshrep.shapes import (LineQuiver, MeshWindow, all_orientations, induced_alpha,
+                            mesh_map_f, mesh_map_f_inv, mesh_map_t)
 
 F = GF(32003)
 
@@ -80,6 +84,22 @@ def test_corrupted_triangle_rejected():
     assert not is_distinguished(corrupted_triangle())
 
 
+def line_composite(t, a, b):
+    """The arrows of t along the straight monotone line a -> b (one column,
+    or one diagonal when a and b lie in different columns) multiplied in
+    order; None when the line leaves the vertices of t."""
+    if a not in t.vertices:
+        return None
+    step = (0, 1) if a[0] == b[0] else (1, -1)
+    fmap, cur = ChainMap.identity(t.values[a]), a
+    while cur != b:
+        nxt = (cur[0] + step[0], cur[1] + step[1])
+        if nxt not in t.vertices:
+            return None
+        fmap, cur = t.arrows[(cur, nxt)].compose(fmap), nxt
+    return fmap
+
+
 def cone_route_phi(t, v):
     """The reference for canonical_phi: H(kappa) H(lambda)^-1 through the cone
     of psi = [p1; -p2]: val -> c1 + c2, with lambda: cone -> Sigma val the
@@ -91,8 +111,8 @@ def cone_route_phi(t, v):
     c1, c2 = (k, n + 1), (k + l, 0)
     if any(u not in t.vertices for u in (fv, c1, c2)):
         return None
-    p1, p2 = t.path_map(v, c1), t.path_map(v, c2)
-    u1, u2 = t.path_map(c1, fv), t.path_map(c2, fv)
+    p1, p2 = line_composite(t, v, c1), line_composite(t, v, c2)
+    u1, u2 = line_composite(t, c1, fv), line_composite(t, c2, fv)
     if None in (p1, p2, u1, u2):
         return None
     val, fval, field, e = t.values[v], t.values[fv], t.fieldspec, ()
@@ -471,6 +491,29 @@ def test_inverse_image_general():
         assert is_distinguished(r)
 
 
+def test_transported_arrows_are_the_line_composites():
+    """Every arrow of a translate, a flip and an inverse image is the
+    composite of t's arrows along the line its cover is sent to: a cover
+    where it stays one, the identity where it collapses.  The alphas include
+    one that is not injective and one that skips values."""
+    q = LineQuiver.linear(3)
+    t = standard_triangle(q, rand_complex(q, 14), window=wide_window(3))
+    cases = [(translate(t), lambda v: mesh_map_t(3, v)), (flip(t), lambda v: mesh_map_f(3, v))]
+    for m, alpha in ((2, {1: 1, 2: 3}), (2, {1: 1, 2: 1}), (3, {1: 1, 2: 1, 3: 3}),
+                     (1, {1: 2})):
+        cases.append((inverse_image(m, alpha, t), induced_alpha(m, 3, alpha)))
+    collapsed = 0
+    for r, push in cases:
+        assert r.arrows
+        for (a, b), arrow in r.arrows.items():
+            want = line_composite(t, push(a), push(b))
+            degs = set(want.src.degrees()) | set(want.tgt.degrees())
+            assert (arrow.src, arrow.tgt) == (want.src, want.tgt), (a, b)
+            assert all(arrow.comp(d) == want.comp(d) for d in degs), (a, b)
+            collapsed += push(a) == push(b)
+    assert collapsed
+
+
 def test_extend_identity_morphism():
     q = LineQuiver.linear(2)
     t = standard_triangle(q, rand_complex(q, 15), window=wide_window(2))
@@ -510,3 +553,34 @@ def test_extend_random_base_map():
             base_map[(v, d)] = Matrix.zeros(F, 0, h1[d].dims[v])
     psi = extend_morphism(t1, t2, base_map)
     assert psi is not None
+
+
+def _morphism_outputs(field) -> str:
+    """find_triangle_morphism(require_iso=True) between the standard
+    triangles of a random interval sum and of its plain sum, on A2 and A3."""
+    out = []
+    for n, seed in ((2, 41), (3, 42)):
+        q = LineQuiver.linear(n)
+        x, ms = random_interval_sum(q, field, np.random.default_rng(seed), max_total=3)
+        s = standard_triangle(q, Complex.from_rep(x))
+        t = standard_triangle(q, Complex.from_rep(assemble(q, ms, field)))
+        psi = find_triangle_morphism(s, t, require_iso=True, seed=seed)
+        out.append([[repr(k), m.nrows, m.ncols, [[str(v) for v in row] for row in m.rows()]]
+                    for k, m in sorted(psi.items())])
+    return json.dumps(out)
+
+
+# recorded while find_triangle_morphism still drew its members itself; each
+# was found within 25 draws
+MORPHISM_GOLDEN = {
+    "F5": "eaf5a31b35bfdb0c089e9be32c3705747a471fa91ba24693d5ad21878af4f030",
+    "F32003": "8329dc1478805fa2da70b8d9d13fa2f11e05ab27a3978fcb33d8e44fc30bea6b",
+    "Q": "9b0518085d692bbbe6da73ad9862c0344a8c040e9e991373ec1731a643922af3",
+}
+
+
+@pytest.mark.parametrize("field", [GF(5), F, QQ], ids=str)
+def test_find_triangle_morphism_is_pinned(field):
+    """The exact matrices of an isomorphism between two standard triangles."""
+    got = hashlib.sha256(_morphism_outputs(field).encode()).hexdigest()
+    assert got == MORPHISM_GOLDEN[str(field)]

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -6,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from meshrep.linalg import (
     GF, MAX_PRIME, QQ, FieldSpec, Matrix, _gauss_jordan, column_space_basis, complement_columns,
-    complement_projection, inverse, is_invertible, kernel_basis, kernel_cokernel, rank, rref, solve,
-    split_vector, sylvester_system,
+    complement_projection, inverse, invertible_member, is_invertible, kernel_basis, kernel_cokernel,
+    rank, rref, solve, split_vector, sylvester_system,
 )
 
 FIELDS = [QQ, GF(5), GF(32003)]
@@ -581,3 +582,77 @@ def test_sylvester_system_matches_definition(field, seed):
     assert system @ Matrix.column(field, vec) == Matrix.column(field, want)
     with pytest.raises(ValueError):
         sylvester_system(field, [(1, 2), (2, 2)], [(0, None, 1, None)])
+
+
+def _member_search_case(field, rng):
+    """(shapes, part, span) with at most 6 span columns of rank at most 2,
+    so that members with every block invertible are sometimes absent; the
+    blocks are mostly square, 0x0 blocks included."""
+    pool = [(0, 0), (1, 1), (1, 1), (2, 2), (2, 2), (3, 3), (1, 2)]
+    shapes = [pool[int(i)] for i in rng.integers(0, len(pool), size=int(rng.integers(1, 4)))]
+    n, k, r = sum(a * b for a, b in shapes), int(rng.integers(0, 7)), int(rng.integers(0, 3))
+    part = Matrix.random(field, n, 1, rng) if rng.random() < 0.5 else Matrix.zeros(field, n, 1)
+    span = Matrix.random(field, n, r, rng) @ Matrix.random(field, r, k, rng)
+    return shapes, part, span
+
+
+def _has_invertible_member(field, shapes, part, span):
+    """Whether some member of part + span has every block invertible, by
+    trying every coefficient column over the field."""
+    cols = list(zip(*span.rows()))
+    for coeffs in itertools.product(range(field.p), repeat=span.ncols):
+        vals = [row[0] for row in part.rows()]
+        for c, col in zip(coeffs, cols):
+            vals = [x + c * y for x, y in zip(vals, col)]
+        if all(map(is_invertible, split_vector(field, vals, shapes))):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_invertible_member_is_exact_over_small_fields(p):
+    """Over F_3 and F_5 with at most 6 span columns, invertible_member returns
+    None exactly when no member has every block invertible, and what it
+    returns is a member of part + span with every block invertible."""
+    field = GF(p)
+    rng = np.random.default_rng(p)
+    seen = {True: 0, False: 0}
+    for trial in range(40 if p == 3 else 25):
+        shapes, part, span = _member_search_case(field, rng)
+        if p == 5 and span.ncols == 6 and trial % 3:
+            continue  # 15,625 members: keep a few of these
+        got = invertible_member(field, shapes, part, span, seed=trial)
+        exists = _has_invertible_member(field, shapes, part, span)
+        assert (got is not None) == exists, (shapes, span.ncols)
+        seen[exists] += 1
+        if got is None:
+            continue
+        assert [(m.nrows, m.ncols) for m in got] == shapes
+        assert all(map(is_invertible, got))
+        flat = [x - y for x, y in zip([x for m in got for row in m.rows() for x in row],
+                                      [row[0] for row in part.rows()])]
+        assert solve(span, Matrix.column(field, flat)) is not None
+    assert seen[True] and seen[False]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_invertible_member_finds_a_lone_member(p):
+    """With 1x1 blocks c_i - a for every a but b_i, and 0x0 blocks between
+    them, the one member with every block invertible is at c = b: the draws
+    all but never hit it at 6 columns, so the enumeration must.  One more
+    block c_1 - b_1 leaves no member (checked up to 3 columns)."""
+    field = GF(p)
+    rng = np.random.default_rng(p)
+    for k in (1, 3, 6):
+        b = [int(x) for x in rng.integers(0, p, size=k)]
+        forms = [(i, a) for i in range(k) for a in range(p) if a != b[i]]
+        shapes = [(1, 1), (0, 0)] * len(forms)
+        part = Matrix.column(field, [-a for _, a in forms])
+        span = Matrix.from_rows(field, [[int(j == i) for j in range(k)] for i, _ in forms])
+        got = invertible_member(field, shapes, part, span, seed=k)
+        assert got == split_vector(field, [b[i] - a for i, a in forms], shapes)
+        if k == 6:
+            continue  # a None answer enumerates every member
+        clash = Matrix.vstack(field, [span, Matrix.from_rows(field, [[1] + [0] * (k - 1)])])
+        part2 = Matrix.vstack(field, [part, Matrix.column(field, [-b[0]])])
+        assert invertible_member(field, shapes + [(1, 1)], part2, clash, seed=k) is None

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from typing import Dict
 
 import numpy as np
@@ -6,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from meshrep.linalg import GF, QQ, Matrix, rank
 from meshrep.rep import (
-    Interval, all_intervals, assemble, decompose, ext1_dim, euler_form,
+    Interval, all_intervals, assemble, decompose, direct_sum, ext1_dim, euler_form,
     find_isomorphism, generalized_rank, hom_dim, hom_space, injective, injective_interval,
     interval_module, projective, projective_interval, random_interval_sum,
     random_rep, simple, Rep,
@@ -256,3 +258,41 @@ def test_hom_space_gives_intertwiners():
 def test_census_count():
     for n in range(1, 7):
         assert len(all_intervals(n)) == n * (n + 1) // 2
+
+
+def _found_json(found):
+    """The matrices of a search result as JSON-ready lists, keys in order."""
+    if found is None:
+        return None
+    return [[repr(k), m.nrows, m.ncols, [[str(x) for x in row] for row in m.rows()]]
+            for k, m in sorted(found.items())]
+
+
+def _isomorphism_outputs(field) -> str:
+    """find_isomorphism from the plain sum to a random interval sum, four
+    seeds on each of three orientations of A3, and one no-instance each."""
+    out = []
+    for spec in ("FF", "FB", "BFB"):
+        q = LineQuiver(len(spec) + 1, spec)
+        for seed in range(4):
+            x, ms = random_interval_sum(q, field, np.random.default_rng(seed), max_total=5)
+            out.append(_found_json(find_isomorphism(assemble(q, ms, field), x, seed=seed)))
+        split = direct_sum([interval_module(q, 1, 1, field), interval_module(q, 2, 2, field)],
+                           q.poset(), field)
+        out.append(_found_json(find_isomorphism(interval_module(q, 1, 2, field), split)))
+    return json.dumps(out)
+
+
+# recorded while find_isomorphism still combined hom_space dicts itself
+ISOMORPHISM_GOLDEN = {
+    "F5": "0eed202b10b26a13f5fe1cd131d5a5f3ee975b192f2056f56a176b0cdb8ca506",
+    "F32003": "efa5ffb55c5c8668453cf4afc3413fd3b8b88c1fb5560f7f367edcb9f3e9906a",
+    "Q": "8eb8879921ad45a41c05e1ca0d70b2a73b6b542b3a347fe82c896d7b2b22907b",
+}
+
+
+@pytest.mark.parametrize("field", [GF(5), F, QQ], ids=str)
+def test_find_isomorphism_is_pinned(field):
+    """The exact matrices find_isomorphism returns on fixed seeded inputs."""
+    got = hashlib.sha256(_isomorphism_outputs(field).encode()).hexdigest()
+    assert got == ISOMORPHISM_GOLDEN[str(field)]
