@@ -16,10 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Dict, List, Tuple, Union
 
 from .derived import (ChainMap, Complex, Grid, RepMap, block_complex, homology_rep, identity_at,
-                      linear_dual_complex, negated, restrict, restrict_map)
+                      linear_dual_complex, negated, restrict, slices)
 from .linalg import FieldSpec, Matrix
 from .rep import Rep, find_isomorphism
 from .shapes import LineQuiver, Poset, point_poset
@@ -90,20 +91,12 @@ def bimodule_shape(left: ShapeLike, right: ShapeLike) -> Poset:
 def _treelike(p: Poset) -> bool:
     """True if the free category on the covers has no relations (at most one
     cover path between any two elements): then the incidence algebra is the
-    hereditary path algebra of the Hasse quiver."""
-    succ: Dict = {}
-    for (a, b) in p.covers:
-        succ.setdefault(a, []).append(b)
-    return all(_count_paths(p, succ, a, b) <= 1
-               for a in p.elements for b in p.elements if p.leq(a, b))
-
-
-def _count_paths(p: Poset, succ: Dict, a, b) -> int:
-    """The number of cover paths from a to b (a module function, so that no
-    closure calling itself is left as a reference cycle)."""
-    if a == b:
-        return 1
-    return sum(_count_paths(p, succ, c, b) for c in succ.get(a, []) if p.leq(c, b))
+    hereditary path algebra of the Hasse quiver.  Two cover paths with the
+    same ends part at an element with two cover successors below the common
+    end, so this holds iff no element has two cover successors with a common
+    upper bound."""
+    return not any(a == b and any(p.leq(c, e) and p.leq(d, e) for e in p.elements)
+                   for (a, c), (b, d) in combinations(p.covers, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -270,27 +263,17 @@ def cancel_tensor(m: Bimodule, n: Bimodule, method: str = "auto") -> Bimodule:
 
     field = m.complex.field
     target = bimodule_shape(m.left, n.right)
-    leftp, rightp = m.left_poset, n.right_poset.opposite()
 
-    # m(-, w) over the left poset and n(w, -) over the opposite right poset
-    mslices = {w: restrict(m.complex, leftp, lambda a, w=w: (a, w)) for w in mid.elements}
-    nslices = {w: restrict(n.complex, rightp, lambda b, w=w: (w, b)) for w in mid.elements}
+    # m(-, w) over the left poset with the contravariant action
+    # mact(v, u): m(-, v) -> m(-, u), and n(w, -) over the opposite right
+    # poset with the covariant action nact(u, v): n(u, -) -> n(v, -)
+    mslice, mact = slices(m.complex, m.left_poset, lambda w, a: (a, w))
+    nslice, nact = slices(n.complex, n.right_poset.opposite(), lambda w, b: (w, b))
 
-    # the external tensors and actions, each built once: many chains share
-    # their two ends and many faces the same action
+    # the external tensors, each built once: many chains share their two ends
     @lru_cache(maxsize=None)
     def ext(v, u) -> Complex:
-        return _external(mslices[v], nslices[u], target)
-
-    @lru_cache(maxsize=None)
-    def n_action(u, v) -> ChainMap:
-        """The covariant action n(u, -) -> n(v, -)."""
-        return restrict_map(n.complex, nslices[u], nslices[v], lambda b: (u, b), lambda b: (v, b))
-
-    @lru_cache(maxsize=None)
-    def m_action(u, v) -> ChainMap:
-        """The contravariant action m(-, v) -> m(-, u)."""
-        return restrict_map(m.complex, mslices[v], mslices[u], lambda a: (a, v), lambda a: (a, u))
+        return _external(mslice(v), nslice(u), target)
 
     summands = _chain_summands(mid, method)
     index = {ch: col for col, (_, ch) in enumerate(summands)}
@@ -305,10 +288,10 @@ def cancel_tensor(m: Bimodule, n: Bimodule, method: str = "auto") -> Bimodule:
             grid[col][col] = e.diffs.get(t)
             for i in range(k + 1 if k else 0):
                 if i == 0:
-                    blk = _external_map(ChainMap.identity(mslices[ch[-1]]), n_action(ch[0], ch[1]),
+                    blk = _external_map(ChainMap.identity(mslice(ch[-1])), nact(ch[0], ch[1]),
                                         target, t)
                 elif i == k:
-                    blk = _external_map(m_action(ch[-2], ch[-1]), ChainMap.identity(nslices[ch[0]]),
+                    blk = _external_map(mact(ch[-1], ch[-2]), ChainMap.identity(nslice(ch[0])),
                                         target, t)
                 else:
                     blk = identity_at(e.terms[t])

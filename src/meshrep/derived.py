@@ -9,6 +9,7 @@ phi: X -> Y has differential [[-d_X, 0], [phi, d_Y]].
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .linalg import FieldSpec, Matrix, kernel_basis, rref, solve
@@ -302,16 +303,31 @@ def vertex_key(v, r, spec: Optional[Poset]):
     return v if spec is None else (v, r)
 
 
+def slices(c: Complex, shape: Poset, at: Callable[[Element, Element], Element]
+           ) -> Tuple[Callable[[Element], Complex], Callable[[Element, Element], ChainMap]]:
+    """(value, action) reading a complex over a product one column at a
+    time: value(w) is restrict(c, shape, r -> at(w, r)) and action(u, v) the
+    chain map value(u) -> value(v) given by the maps at(u, r) -> at(v, r) of
+    c.shape.  Each is built once per argument, as many callers ask for the
+    same column or action again."""
+    @lru_cache(maxsize=None)
+    def value(w: Element) -> Complex:
+        return restrict(c, shape, lambda r: at(w, r))
+
+    @lru_cache(maxsize=None)
+    def action(u: Element, v: Element) -> ChainMap:
+        return restrict_map(c, value(u), value(v), lambda r: at(u, r), lambda r: at(v, r))
+
+    return value, action
+
+
 def split(c: Complex, base: Poset, spec: Optional[Poset]) -> Tuple[Dict, Dict]:
     """(values, arrows) of a complex over base x spec (over base when spec is
     None): the complex over spec (over the point) at each vertex of base and
     the chain map along each cover of base."""
-    sh = spec if spec is not None else point_poset()
-    values = {v: restrict(c, sh, lambda r, v=v: vertex_key(v, r, spec)) for v in base.elements}
-    arrows = {(u, v): restrict_map(c, values[u], values[v], lambda r, u=u: vertex_key(u, r, spec),
-                                   lambda r, v=v: vertex_key(v, r, spec))
-              for (u, v) in base.covers}
-    return values, arrows
+    value, action = slices(c, spec if spec is not None else point_poset(),
+                           lambda v, r: vertex_key(v, r, spec))
+    return {v: value(v) for v in base.elements}, {cov: action(*cov) for cov in base.covers}
 
 
 def glue(base: Poset, spec: Optional[Poset], values: Dict, arrows: Dict) -> Complex:
@@ -509,15 +525,16 @@ def object_complex(q: LineQuiver, obj: DerivedObject, field: FieldSpec) -> Compl
 
 
 def presentation_cone(q: LineQuiver, obj: DerivedObject, value: Callable[[int], Complex],
-                      inclusion: Callable[[int, int], ChainMap], shape: Poset, field: FieldSpec
+                      action: Callable[[int, int], ChainMap], shape: Poset, field: FieldSpec
                       ) -> Tuple[Complex, List[Part], List[Tuple[int, int]]]:
     """The minimal projective resolutions 0 -> P1 -> P0 -> M[i,j] -> 0 of
     rep.interval_presentation, one for each copy of each summand
     Sigma^s M[i,j] of obj and shifted by s, with each P_v replaced by
-    value(v) and each inclusion P_w ⊂ P_v by inclusion(v, w): value(w) ->
-    value(v).  That is the cone of one block map from the sum of the P1
-    parts to the sum of the P0 parts, or the sum of the P0 parts when there
-    is no P1 part; shape and field give the zero complex of a zero obj.
+    value(v) and each inclusion P_w ⊂ P_v by action(w, v): value(w) ->
+    value(v), as slices returns them.  That is the cone of one block map
+    from the sum of the P1 parts to the sum of the P0 parts, or the sum of
+    the P0 parts when there is no P1 part; shape and field give the zero
+    complex of a zero obj.
     Returns the complex, its parts in order (the P1 parts shifted once more,
     then the P0 parts), and for each P0 part (k, v): it is the top v of the
     k-th copy of a summand, counted in the order of obj.summands."""
@@ -546,7 +563,7 @@ def presentation_cone(q: LineQuiver, obj: DerivedObject, value: Callable[[int], 
     def grid(d: int) -> Grid:
         out: Grid = [[None] * len(p1) for _ in p0]
         for row, col, sign, v, w in entries:
-            comp = inclusion(v, w).comp(d - p1[col][1])
+            comp = action(w, v).comp(d - p1[col][1])
             out[row][col] = comp if sign == 1 else negated(comp)
         return out
 

@@ -99,10 +99,11 @@ class NTriangle:
 def _line_map(t: NTriangle, a: Vertex, b: Vertex, memo: Dict) -> Optional[ChainMap]:
     """The chain map along the straight monotone line a -> b (one column or
     one diagonal), None when the line leaves the vertex set.  Composites are
-    kept in memo by (a, b).  A line into a boundary vertex is built from the
-    line out of the vertex after a, so the lines into one corner share their
-    tails; any other line from the line into the vertex before b, so the
-    lines out of one corner share their heads."""
+    kept in memo by (a, b).  A line of one cover is its stored arrow.  A
+    longer line into a boundary vertex is built from the line out of the
+    vertex after a, so the lines into one corner share their tails; any
+    other from the line into the vertex before b, so the lines out of one
+    corner share their heads."""
     key = (a, b)
     if key in memo:
         return memo[key]
@@ -112,8 +113,10 @@ def _line_map(t: NTriangle, a: Vertex, b: Vertex, memo: Dict) -> Optional[ChainM
         got = ChainMap.identity(t.values[a])
     else:
         dk, dl = (0, 1) if a[0] == b[0] else (1, -1)
-        if b[1] in (0, t.n + 1):
-            nxt = (a[0] + dk, a[1] + dl)
+        nxt = (a[0] + dk, a[1] + dl)
+        if nxt == b:
+            got = t.arrows[(a, b)]
+        elif b[1] in (0, t.n + 1):
             rest = _line_map(t, nxt, b, memo)
             got = None if rest is None else rest.compose(t.arrows[(a, nxt)])
         else:

@@ -9,14 +9,15 @@ derived.presentation_cone as in tilting.apply_bimodule.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import Dict, List, Optional, Tuple
 
+from .bimod import identity_prof
 from .derived import (ChainMap, Complex, DerivedObject, Grid, RepMap, block_map, object_complex,
-                      presentation_cone)
+                      presentation_cone, slices)
 from .linalg import (FieldSpec, Matrix, complement_columns, kernel_basis, split_vector,
                      sylvester_system)
-from .rep import Rep, interval_module, projective
+from .rep import Rep, interval_module
 from .shapes import LineQuiver
 
 
@@ -30,21 +31,13 @@ def _on_common_support(src: Rep, tgt: Rep) -> RepMap:
 def projective_model(q: LineQuiver, obj: DerivedObject, field: FieldSpec) -> Tuple[Complex, ChainMap]:
     """(P, aug: P -> model(obj)) with P a complex of projectives quasi-iso to obj:
     derived.presentation_cone of the projectives P_v themselves and the
-    inclusions P_w ⊂ P_v, the sum of the minimal resolutions of the summand
-    copies, and the augmentation that sends each P_v of a P0 onto the copy
-    of M[i,j] in object_complex it resolves, the identity on their common
-    support."""
+    inclusions P_w ⊂ P_v, read as the columns I_Q(-, v) and the action of
+    the identity profunctor, the sum of the minimal resolutions of the
+    summand copies, and the augmentation that sends each P_v of a P0 onto
+    the copy of M[i,j] in object_complex it resolves, the identity on their
+    common support."""
     model = object_complex(q, obj, field)
-
-    @lru_cache(maxsize=None)
-    def proj(v: int) -> Complex:
-        return Complex.from_rep(projective(q, v, field))
-
-    def inclusion(v: int, w: int) -> ChainMap:
-        """P_w ⊂ P_v."""
-        pw, pv = proj(w), proj(v)
-        return ChainMap(pw, pv, {0: _on_common_support(pw.term(0), pv.term(0))})
-
+    proj, inclusion = slices(identity_prof(q, field).complex, q.poset(), lambda v, a: (a, v))
     p, parts, tops = presentation_cone(q, obj, proj, inclusion, q.poset(), field)
     copies = [(Complex.from_rep(interval_module(q, itv.i, itv.j, field)), s)
               for (s, itv, mult) in obj.summands for _ in range(mult)]

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul, sub
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -628,12 +628,17 @@ def split_vector(field: FieldSpec, vals: Sequence[Scalar],
                  shapes: Sequence[Tuple[int, int]]) -> List[Matrix]:
     """The matrices of the given shapes whose row-major entries, one after
     another, are vals: the inverse of the flattening in sylvester_system."""
-    out, o = [], 0
+    return list(_split(field, vals, shapes))
+
+
+def _split(field: FieldSpec, vals: Sequence[Scalar],
+           shapes: Sequence[Tuple[int, int]]) -> Iterator[Matrix]:
+    """split_vector one block at a time."""
+    o = 0
     for r, c in shapes:
-        out.append(Matrix(field, r, c, [vals[o + i * c:o + (i + 1) * c] for i in range(r)])
-                   if r and c else Matrix.zeros(field, r, c))
+        yield (Matrix(field, r, c, [vals[o + i * c:o + (i + 1) * c] for i in range(r)])
+               if r and c else Matrix.zeros(field, r, c))
         o += r * c
-    return out
 
 
 def invertible_member(field: FieldSpec, shapes: Sequence[Tuple[int, int]], part: Matrix,
@@ -661,8 +666,9 @@ def invertible_member(field: FieldSpec, shapes: Sequence[Tuple[int, int]], part:
         for c, col in zip(coeffs, cols):
             if c:
                 vals = [x + y * c for x, y in zip(vals, col)]
-        blocks = split_vector(field, vals, shapes)
-        if all(map(is_invertible, blocks)):
+        # each block is tested as it is split, so a singular one ends the try
+        blocks = list(itertools.takewhile(is_invertible, _split(field, vals, shapes)))
+        if len(blocks) == len(shapes):
             return blocks
     return None
 

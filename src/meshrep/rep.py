@@ -56,26 +56,21 @@ class Rep:
         return sum(self.dims.values())
 
     def path_map(self, a: Element, b: Element) -> Matrix:
-        """The composite along any monotone path a -> b (well-defined)."""
+        """The composite along a monotone path a -> b: from each element the
+        first cover that stays below b.  Every path gives the same composite,
+        as a Rep commutes."""
         if not self.shape.leq(a, b):
             raise ValueError(f"no morphism {a} -> {b}")
         if a == b:
             return Matrix.identity(self.field, self.dims[a])
         if (a, b) in self.mats:
             return self.mats[(a, b)]
-        succ = {}
-        for (u, v) in self.shape.covers:
-            succ.setdefault(u, []).append(v)
-        # BFS from a staying below b
-        best: Dict[Element, Matrix] = {a: Matrix.identity(self.field, self.dims[a])}
-        order = [e for e in self.shape.linear_extension() if self.shape.leq(a, e) and self.shape.leq(e, b)]
-        for e in order:
-            if e not in best:
-                continue
-            for v in succ.get(e, []):
-                if self.shape.leq(v, b) and v not in best:
-                    best[v] = self.mats[(e, v)] @ best[e]
-        return best[b]
+        out, e = None, a
+        while e != b:
+            cov = next((u, v) for (u, v) in self.shape.covers if u == e and self.shape.leq(v, b))
+            out = self.mats[cov] if out is None else self.mats[cov] @ out
+            e = cov[1]
+        return out
 
     def validate(self):
         """Check commutativity: composites are path-independent."""

@@ -12,14 +12,13 @@ bimodule (x) bimodule stays with bimod.cancel_tensor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Dict, Optional, Tuple
 
 from .armesh import ARDiagram, build_ar, mesh_object
 from .bimod import (Bimodule, bimodules_quasi_isomorphic, cancel_tensor, check_middle,
                     duality_module, identity_prof)
 from .derived import (ChainMap, Complex, cone, derived_hom_graded, glue, is_acyclic, normalize,
-                      presentation_cone, restrict, restrict_map, split)
+                      presentation_cone, slices, split)
 from .linalg import FieldSpec, Matrix
 from .rep import all_intervals, simple
 from .functors import (SerreTable, coxeter_minus, coxeter_plus, reflect_minus_obj,
@@ -85,18 +84,8 @@ def apply_bimodule(t: Bimodule, q: LineQuiver, x: Complex) -> Complex:
     from_left_complex(q, x)) computes the same object from the two-term
     bimodule resolution of I_Q and is the test reference."""
     check_middle(t.right, q)
-    left = t.left_poset
-
-    @lru_cache(maxsize=None)
-    def slice_at(w: int) -> Complex:
-        return restrict(t.complex, left, lambda a: (a, w))
-
-    @lru_cache(maxsize=None)
-    def action(v: int, w: int) -> ChainMap:
-        """t(-, w) -> t(-, v), induced by P_w ⊂ P_v."""
-        return restrict_map(t.complex, slice_at(w), slice_at(v), lambda a: (a, w), lambda a: (a, v))
-
-    return presentation_cone(q, normalize(q, x), slice_at, action, left, t.complex.field)[0]
+    value, action = slices(t.complex, t.left_poset, lambda w, a: (a, w))
+    return presentation_cone(q, normalize(q, x), value, action, t.left_poset, t.complex.field)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +171,8 @@ def tilting_check(t: Bimodule, field: FieldSpec,
     invertibility against a candidate inverse bimodule."""
     ql: LineQuiver = t.left
     qr: LineQuiver = t.right
-    cols = {b: normalize(ql, restrict(t.complex, t.left_poset, lambda a: (a, b)))
-            for b in qr.vertices}
+    column = slices(t.complex, t.left_poset, lambda b, a: (a, b))[0]
+    cols = {b: normalize(ql, column(b)) for b in qr.vertices}
     # perfect: each column is quasi-isomorphic to a bounded complex of
     # projectives, witnessed by a projective model whose augmentation has an
     # acyclic cone (hom_chain is imported here, as in armesh, so that
@@ -302,9 +291,7 @@ def square_d4_bimodule(field: FieldSpec) -> Bimodule:
     vals, arrs = split(iq.complex, sq, spec)
     p, mty, mtz = pushout(arrs[(x, y)], arrs[(x, z)])
     # induced map p -> w from the universal property
-    map_yw = restrict_map(iq.complex, vals[y], vals[w], lambda r: (y, r), lambda r: (w, r))
-    map_zw = restrict_map(iq.complex, vals[z], vals[w], lambda r: (z, r), lambda r: (w, r))
-    pw = _induced_from_pushout(p, mty, mtz, map_yw, map_zw)
+    pw = _induced_from_pushout(p, mty, mtz, arrs[(y, w)], arrs[(z, w)])
     dshape = d4_poset()
     values = {"y": vals[y], "z": vals[z], "p": p, "w": vals[w]}
     arrows = {("y", "p"): mty, ("z", "p"): mtz, ("p", "w"): pw}

@@ -177,3 +177,47 @@ def test_every_name_in_all_imports_lazily():
     assert len(set(meshrep.__all__)) == len(meshrep.__all__) == 40
     for name in ("hom_dim", "functor_kernel", "Tracer"):
         assert not hasattr(meshrep, name), name
+
+
+def _unused_imports(text: str) -> list:
+    """(line, name) for each name an import statement binds that no ast.Name
+    in the module reads; imports from __future__ and lines marked
+    `noqa: F401` are exempt."""
+    tree = ast.parse(text)
+    lines = text.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if "noqa: F401" in lines[node.lineno - 1]:
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    out.append((node.lineno, name))
+    return out
+
+
+def test_no_unused_imports():
+    found = {mod.name: _unused_imports(mod.read_text()) for mod in sorted(PACKAGE.glob("*.py"))}
+    assert {name: got for name, got in found.items() if got} == {}
+    bad = ("from __future__ import annotations\nimport os, numpy as np\n"
+           "from x import (a, b as c)\nfrom y import d  # noqa: F401\n"
+           "def f():\n    from z import e\n    return np.zeros(a)\n")
+    assert _unused_imports(bad) == [(2, "os"), (3, "c"), (6, "e")]
+
+
+def test_only_derived_calls_restrict_map():
+    """Columns of a complex over a product and the actions between them are
+    read by derived.slices, which alone calls restrict_map."""
+    callers = []
+    for mod in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(mod.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "restrict_map":
+                    callers.append(mod.name)
+    assert set(callers) == {"derived.py"}

@@ -154,28 +154,30 @@ TENSOR_DIGESTS = {
 
 @pytest.mark.parametrize("case", sorted(TENSOR_DIGESTS))
 def test_cancel_tensor_builds_each_action_once(case, monkeypatch):
-    """One restrict_map per middle action, and the pinned output."""
+    """One restrict_map per middle action, and the pinned output.  The inputs
+    are built before restrict_map is counted, as building them restricts too."""
     import hashlib
-    from meshrep import bimod
+    from meshrep import derived
     from meshrep.linalg import QQ
     from meshrep.serialize import complex_to_json, dumps
     from meshrep.tilting import square_d4_bimodule, square_d4_inverse
+    if case in ("hereditary", "bar"):
+        m = n = duality_module(LineQuiver.linear(4), F)
+        method = case
+    elif case == "square-d4-q":
+        m, n, method = square_d4_inverse(QQ), square_d4_bimodule(QQ), "auto"
+    else:
+        m = n = duality_module(LineQuiver.linear(3), QQ if case == "a3-q" else GF(5))
+        method = "hereditary" if case == "a3-q" else "bar"
     calls = []
-    original = bimod.restrict_map
+    original = derived.restrict_map
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(bimod, "restrict_map", counting)
-    if case in ("hereditary", "bar"):
-        dq = duality_module(LineQuiver.linear(4), F)
-        out = cancel_tensor(dq, dq, method=case)
-    elif case == "square-d4-q":
-        out = cancel_tensor(square_d4_inverse(QQ), square_d4_bimodule(QQ))
-    else:
-        dq = duality_module(LineQuiver.linear(3), QQ if case == "a3-q" else GF(5))
-        out = cancel_tensor(dq, dq, method="hereditary" if case == "a3-q" else "bar")
+    monkeypatch.setattr(derived, "restrict_map", counting)
+    out = cancel_tensor(m, n, method=method)
     n_maps, digest = TENSOR_DIGESTS[case]
     assert len(calls) == n_maps
     assert hashlib.sha256(dumps(complex_to_json(out.complex)).encode()).hexdigest() == digest
@@ -210,3 +212,26 @@ def test_boxtimes_digest(case):
     out.complex.validate()
     digest = hashlib.sha256(dumps(complex_to_json(out.complex)).encode()).hexdigest()
     assert digest == BOXTIMES_DIGESTS[case]
+
+
+def _cover_paths(p: Poset, a, b) -> int:
+    """The number of cover paths from a to b, by brute force."""
+    return 1 if a == b else sum(_cover_paths(p, v, b) for (u, v) in p.covers if u == a)
+
+
+def test_treelike_is_at_most_one_cover_path():
+    """_treelike agrees with counting the cover paths between every two
+    elements: on every orientation with n <= 5, the square, D4, a mesh
+    window, and the products Q x Q'^op of orientations with n <= 3."""
+    from meshrep.bimod import _treelike
+    from meshrep.shapes import MeshWindow
+    from meshrep.tilting import d4_poset, square_poset
+    shapes = [q.poset() for n in range(1, 6) for q in all_orientations(n)]
+    shapes += [square_poset(), d4_poset(), MeshWindow(3, 0, 2).poset()]
+    shapes += [bimodule_shape(q, q2) for n in range(1, 4)
+               for q in all_orientations(n) for q2 in all_orientations(n)]
+    got = [(p.name, _treelike(p)) for p in shapes]
+    want = [(p.name, all(_cover_paths(p, a, b) <= 1 for a in p.elements for b in p.elements))
+            for p in shapes]
+    assert got == want
+    assert {t for _, t in want} == {True, False}

@@ -296,3 +296,37 @@ def test_find_isomorphism_is_pinned(field):
     """The exact matrices find_isomorphism returns on fixed seeded inputs."""
     got = hashlib.sha256(_isomorphism_outputs(field).encode()).hexdigest()
     assert got == ISOMORPHISM_GOLDEN[str(field)]
+
+
+def _path_composites(r: Rep, a, b):
+    """The composite along each monotone cover path a -> b, by brute force."""
+    if a == b:
+        return [Matrix.identity(r.field, r.dims[a])]
+    return [m @ r.mats[(a, v)] for (u, v) in r.shape.covers if u == a
+            for m in _path_composites(r, v, b)]
+
+
+def test_path_map_is_the_composite_along_every_monotone_path():
+    """On the terms of I_Q, D_Q and C_Q^+- for every orientation with n <= 3,
+    path_map(a, b) is the composite along every monotone path a -> b, and
+    raises ValueError when a and b are incomparable."""
+    from meshrep.bimod import duality_module, identity_prof
+    from meshrep.tilting import coxeter_bimodule
+    incomparable = 0
+    for n in (1, 2, 3):
+        for q in all_orientations(n):
+            for b in (identity_prof(q, F), duality_module(q, F),
+                      coxeter_bimodule(q, 1, F), coxeter_bimodule(q, -1, F)):
+                for d in b.complex.degrees():
+                    r = b.complex.term(d)
+                    p = r.shape
+                    for x in p.elements:
+                        for y in p.elements:
+                            if p.leq(x, y):
+                                want = _path_composites(r, x, y)
+                                assert want and all(r.path_map(x, y) == m for m in want)
+                            elif not p.leq(y, x):
+                                incomparable += 1
+                                with pytest.raises(ValueError):
+                                    r.path_map(x, y)
+    assert incomparable
