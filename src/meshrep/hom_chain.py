@@ -10,7 +10,7 @@ derived.presentation_cone as in tilting.apply_bimodule.
 from __future__ import annotations
 
 from functools import reduce
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .bimod import identity_prof
 from .derived import (ChainMap, Complex, DerivedObject, Grid, RepMap, block_map, object_complex,
@@ -28,6 +28,22 @@ def _on_common_support(src: Rep, tgt: Rep) -> RepMap:
             else Matrix.zeros(src.field, tgt.dims[e], src.dims[e]) for e in src.shape.elements}
 
 
+# The columns P_v of identity_prof(q, field) and its action, as derived.slices
+# returns them, per (n, orientation, field): projective_model reads a few of
+# them on every call, and they depend on nothing else.  A Complex and a
+# ChainMap never change, so every caller may share them.
+_PROJECTIVES: Dict[Tuple[int, str, FieldSpec], Tuple[Callable, Callable]] = {}
+
+
+def _projectives(q: LineQuiver, field: FieldSpec) -> Tuple[Callable, Callable]:
+    """(proj, inclusion): proj(v) is P_v, inclusion(w, v) the map P_w -> P_v."""
+    key = (q.n, q.orientation, field)
+    if key not in _PROJECTIVES:
+        _PROJECTIVES[key] = slices(identity_prof(q, field).complex, q.poset(),
+                                   lambda v, a: (a, v))
+    return _PROJECTIVES[key]
+
+
 def projective_model(q: LineQuiver, obj: DerivedObject, field: FieldSpec) -> Tuple[Complex, ChainMap]:
     """(P, aug: P -> model(obj)) with P a complex of projectives quasi-iso to obj:
     derived.presentation_cone of the projectives P_v themselves and the
@@ -37,7 +53,7 @@ def projective_model(q: LineQuiver, obj: DerivedObject, field: FieldSpec) -> Tup
     the copy of M[i,j] in object_complex it resolves, the identity on their
     common support."""
     model = object_complex(q, obj, field)
-    proj, inclusion = slices(identity_prof(q, field).complex, q.poset(), lambda v, a: (a, v))
+    proj, inclusion = _projectives(q, field)
     p, parts, tops = presentation_cone(q, obj, proj, inclusion, q.poset(), field)
     copies = [(Complex.from_rep(interval_module(q, itv.i, itv.j, field)), s)
               for (s, itv, mult) in obj.summands for _ in range(mult)]

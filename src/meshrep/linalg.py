@@ -4,10 +4,14 @@ Everything downstream (hom spaces, homology, tensor calculus) reduces to rank /
 kernel / solve over an exact field, so no floating point appears anywhere in
 the package.  A Matrix keeps its entries in one flat, row-major, immutable
 sequence: a tuple of Fractions over Q, bytes of 16-bit entries over F_p.  Most
-matrices are tiny, so operations run over Python lists.  Over F_p, rref, kron,
-submatrix and the constructor run in numpy above _NUMPY_ENTRIES = 144 entries,
-and products above _NUMPY_PRODUCTS = 16 multiplications, on exact int64
-copies: the measured break-evens, given below.
+matrices are tiny, and every operation runs over Python lists, at every size.
+The exception is rref over F_p above _SPARSE_ENTRIES = 64 entries, the
+measured break-even given below: it eliminates on the nonzero entries only,
+rows being dicts bucketed by their leading column, because the large F_p
+matrices of the battery are mostly zero.  On the 3,019 F_p rref inputs above
+144 entries of the stc, kernels, tilting and picard suites (perfbench seed 1
+for the first two, the default seed for the others) it gave the results of
+the dense int64 elimination in NumPy that it replaced, in 3.9 against 8.3 s.
 
 Over Q, rref and @ run on Python integers and build one Fraction per entry of
 the result: rref eliminates fraction-free on rows cleared of denominators,
@@ -42,29 +46,23 @@ from math import gcd, lcm
 from operator import add, mul, sub
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
+from .rng import Generator, default_rng
 
 DEFAULT_PRIME = 32003  # large enough that random invertibility searches succeed
-# Entries are stored in 16 bits, and on the numpy path int64 products stay
-# exact: k (p-1)^2 < 2^63 for every inner dimension k < 2^31.
+# Entries are stored in 16 bits, in 0..p-1.
 MAX_PRIME = 2 ** 16
-# Over F_p, rref, kron, submatrix and the constructor run in numpy on more
-# than this many entries.  Measured per call on a 2-core x86-64 host (Python
-# 3.11, numpy 2.4), list path against numpy, random F_32003 input: rref 8x8
-# 114 against 277 us, 12x12 381 against 324, 24x24 2332 against 707, [m | I]
-# 8x16 212 against 213, 9x18 331 against 322; kron 3x3 (x) 4x4 31 against 31,
-# 4x4 (x) 4x4 49 against 33; submatrix to 72 entries 12 against 17, 84
-# entries 16 against 13; constructor from 12x12 lists 13 against 9, 8x8 6
-# against 9.  The picard and tilting suites (11-12 s each) need the numpy
-# constructor and submatrix, whose inputs reach 1.2M entries: on the list path
-# these two took 1.5 and 0.8 s longer.  + - scale and transpose have no numpy
-# path: the suites never apply + - or transpose to large matrices, and scale
-# on the list path cost picard 0.1 s.
-_NUMPY_ENTRIES = 144
-# F_p products of more than this many multiplications r*k*c run in numpy:
-# 2x4 @ 4x2 9.0 against 10.6 us, 2x2 @ 2x2 9.1 against 11.1, 3x3 @ 3x2 8.2
-# against 7.6, 3x3 @ 3x3 12.1 against 11.1, 5x5 @ 5x5 36 against 10.
-_NUMPY_PRODUCTS = 16
+# Over F_p, rref eliminates on the nonzero entries (_sparse_gauss_jordan)
+# above this many entries, and on dense lists (_gauss_jordan) up to it: the
+# measured break-even.  Per call on a 2-core x86-64 host (Python 3.11), dense
+# against sparse.  Over the F_p rref inputs of a perfbench-size suite_kernels
+# call (seed 1) and of the tilting and picard suites (default seed), summed
+# by size: 37..64 entries 14.8 against 16.4 ms, 65..100 15.8 against 15.1,
+# 101..144 15.7 against 13.4, and above 1000 entries (up to 1.7M, of which
+# 0.5% nonzero) 25.6 against 2.6 s.  Random F_32003 input, a tenth of the
+# entries nonzero: 8x8 40 against 51 us, 12x12 101 against 87, 24x24 670
+# against 294; every entry nonzero: 4x8 41 against 60, 8x8 113 against 118,
+# 12x12 303 against 275, 24x24 1699 against 1754.
+_SPARSE_ENTRIES = 64
 
 
 @dataclass(frozen=True)
@@ -138,12 +136,7 @@ class Matrix:
 
     def __init__(self, field: FieldSpec, nrows: int, ncols: int, data):
         self.field, self.nrows, self.ncols, p = field, nrows, ncols, field.p
-        if p is not None and nrows * ncols > _NUMPY_ENTRIES:
-            a = np.array(data, dtype=np.int64)
-            if a.shape != (nrows, ncols):
-                raise ValueError(f"matrix data of shape {a.shape}, expected {nrows}x{ncols}")
-            self._data = (a % p).astype(np.uint16).tobytes()
-        elif len(data) != nrows or any(len(row) != ncols for row in data):
+        if len(data) != nrows or any(len(row) != ncols for row in data):
             raise ValueError(f"matrix data is not {nrows}x{ncols}")
         elif p is None:
             self._data = tuple([Fraction(x) for row in data for x in row])
@@ -166,8 +159,10 @@ class Matrix:
         """The identity matrix; one shared instance per field and size."""
         m = _IDENTITIES.get((field.p, n))
         if m is None:
-            m = _IDENTITIES[(field.p, n)] = Matrix(
-                field, n, n, [[int(i == j) for j in range(n)] for i in range(n)])
+            zero, one = (Fraction(0), Fraction(1)) if field.p is None else (0, 1)
+            vals = [zero] * (n * n)
+            vals[::n + 1] = [one] * n
+            m = _IDENTITIES[(field.p, n)] = _from_vals(field, n, n, vals, True)
         return m
 
     @staticmethod
@@ -181,8 +176,10 @@ class Matrix:
         return Matrix.from_rows(field, [[e] for e in entries]) if entries else Matrix.zeros(field, 0, 1)
 
     @staticmethod
-    def random(field: FieldSpec, nrows: int, ncols: int, rng: np.random.Generator) -> "Matrix":
-        return Matrix(field, nrows, ncols, rng.integers(-4, 5, size=(nrows, ncols)).tolist())
+    def random(field: FieldSpec, nrows: int, ncols: int, rng: Generator) -> "Matrix":
+        """Entries drawn from -4..4 by rng, a meshrep.rng or NumPy Generator."""
+        return Matrix(field, nrows, ncols, [[int(x) for x in row] for row in
+                                            rng.integers(-4, 5, size=(nrows, ncols))])
 
     # -- basic access --------------------------------------------------
 
@@ -253,8 +250,6 @@ class Matrix:
             cols = [_clear_denominators(b[j::c]) for j in range(c)]
             return _new(self.field, r, c, tuple([Fraction(sum(map(mul, x, y)), d * e)
                                                  for d, x in rows for e, y in cols]))
-        if r * k * c > _NUMPY_PRODUCTS:
-            return _from_np(self.field, _np(self) @ _np(other))
         a, b = _entries(self), _entries(other)
         cols = [b[j::c] for j in range(c)]
         return _from_vals(self.field, r, c, [sum(map(mul, a[i:i + k], col))
@@ -335,8 +330,6 @@ class Matrix:
         one = _IDENTITIES.get((self.field.p, 1))
         if self is one or other is one:
             return other if self is one else self
-        if _numpy_size(self.field, nr * nc):
-            return _from_np(self.field, np.kron(_np(self), _np(other)))
         a, b = _entries(self), _entries(other)
         return _from_vals(self.field, nr, nc, [x * y for i in range(0, sr * sc, sc)
                                                for k in range(0, orow * oc, oc)
@@ -353,8 +346,6 @@ class Matrix:
             return Matrix.zeros(self.field, r, c)
         if (r, c) == (self.nrows, n) and rows == list(range(r)) and cols == list(range(c)):
             return self
-        if _numpy_size(self.field, r * c):
-            return _from_np(self.field, _np(self)[np.ix_(rows, cols)])
         d = self._data if self.field.p is None else memoryview(self._data).cast("H")
         return _from_vals(self.field, r, c, [d[i * n + j] for i in rows for j in cols], True)
 
@@ -412,21 +403,6 @@ def _zero_data(field: FieldSpec, n: int):
     return (Fraction(0),) * n if field.p is None else bytes(2 * n)
 
 
-def _numpy_size(field: FieldSpec, n: int) -> bool:
-    """Whether an F_p rref, kron, submatrix or construction of n entries runs in numpy."""
-    return field.p is not None and n > _NUMPY_ENTRIES
-
-
-def _np(m: Matrix) -> np.ndarray:
-    """A writable int64 copy of an F_p matrix, read zero-copy from its bytes."""
-    return np.frombuffer(m._data, dtype=np.uint16).reshape(m.nrows, m.ncols).astype(np.int64)
-
-
-def _from_np(field: FieldSpec, a: np.ndarray) -> Matrix:
-    """The F_p matrix of an int64 array, reducing its entries mod p."""
-    return _new(field, a.shape[0], a.shape[1], (a % field.p).astype(np.uint16).tobytes())
-
-
 # -- elimination -------------------------------------------------------
 
 
@@ -480,24 +456,69 @@ def _gauss_jordan(rows: List[List[Scalar]], p: Optional[int]) -> List[int]:
     return pivots
 
 
-def _rref_np(a: np.ndarray, p: int) -> List[int]:
-    """The elimination of _gauss_jordan over F_p, in place on an int64 array."""
+def _sparse_gauss_jordan(vals: List[int], nrows: int, ncols: int, p: int
+                         ) -> Tuple[bytes, List[int]]:
+    """(storage, pivots) of the rref that _gauss_jordan computes over F_p, of
+    the row-major entries vals, by an elimination on the nonzero entries
+    (as in LaMacchia and Odlyzko, CRYPTO 1990).
+
+    Rows are dicts {column: entry}, bucketed by their leading column.  The
+    columns are taken in order: the shortest row in a column's bucket is the
+    pivot row, scaled to lead with 1, and it clears the column from the
+    other rows of the bucket, each moving to the bucket of its new leading
+    column (a row that vanishes is dropped).  Rows in later buckets are zero
+    in the column, so nothing else is touched.  Back substitution then
+    clears each pivot column from the pivot rows above, the last pivot row
+    first: a pivot row below is zero in every other pivot column by then,
+    so a subtraction adds entries only in free columns.  The rref is unique,
+    so the matrix and the pivots are those of _gauss_jordan."""
+    buckets: Dict[int, List[Dict[int, int]]] = {}
+    for o in range(0, nrows * ncols, ncols):
+        row = vals[o:o + ncols]
+        nonzero = list(itertools.compress(range(ncols), row))  # found in C, not one by one
+        if nonzero:
+            buckets.setdefault(nonzero[0], []).append({j: row[j] for j in nonzero})
     pivots: List[int] = []
-    for c in range(a.shape[1]):
-        r = len(pivots)
-        if r == a.shape[0]:
-            break
-        i = r + int(np.argmax(a[r:, c] != 0))  # the first nonzero, if any
-        if a[i, c] == 0:
+    prows: List[Dict[int, int]] = []
+    for c in range(ncols):
+        bucket = buckets.pop(c, None)
+        if bucket is None:
             continue
-        a[[r, i]] = a[[i, r]]
-        a[r] = (a[r] * pow(int(a[r, c]), p - 2, p)) % p
-        mask = a[:, c] != 0
-        mask[r] = False
-        if mask.any():
-            a[mask] = (a[mask] - np.outer(a[mask, c], a[r])) % p
+        prow = bucket.pop(min(range(len(bucket)), key=lambda i: len(bucket[i])))
+        x = prow.pop(c)
+        if x != 1:
+            x = pow(x, p - 2, p)
+            prow = {j: y * x % p for j, y in prow.items()}
+        for row in bucket:
+            _clear(row, row.pop(c), prow, p)
+            if row:
+                buckets.setdefault(min(row), []).append(row)
         pivots.append(c)
-    return pivots
+        prows.append(prow)
+        if not buckets:
+            break
+    at = {c: i for i, c in enumerate(pivots)}
+    for row in reversed(prows):
+        for c in [j for j in row if j in at]:
+            _clear(row, row.pop(c), prows[at[c]], p)
+    out = array("H", bytes(2 * nrows * ncols))
+    for i, (c, row) in enumerate(zip(pivots, prows)):
+        o = i * ncols
+        out[o + c] = 1
+        for j, y in row.items():
+            out[o + j] = y
+    return out.tobytes(), pivots
+
+
+def _clear(row: Dict[int, int], f: int, prow: Dict[int, int], p: int) -> None:
+    """row <- row - f prow over F_p, in place, keeping only nonzero entries;
+    prow holds the entries of a pivot row beside its leading 1."""
+    for j, y in prow.items():
+        z = (row.get(j, 0) - f * y) % p
+        if z:
+            row[j] = z
+        else:
+            row.pop(j, None)
 
 
 def rref(m: Matrix) -> Tuple[Matrix, List[int]]:
@@ -512,10 +533,9 @@ def rref(m: Matrix) -> Tuple[Matrix, List[int]]:
         if x != 1:
             m = m.scale(1 / x if m.field.p is None else pow(x, -1, m.field.p))
         return m, [c]
-    if _numpy_size(m.field, m.nrows * m.ncols):
-        a = _np(m)
-        pivots = _rref_np(a, m.field.p)
-        return _new(m.field, m.nrows, m.ncols, a.astype(np.uint16).tobytes()), pivots
+    if m.field.p is not None and m.nrows * m.ncols > _SPARSE_ENTRIES:
+        data, pivots = _sparse_gauss_jordan(_entries(m), m.nrows, m.ncols, m.field.p)
+        return _new(m.field, m.nrows, m.ncols, data), pivots
     rows = m.rows()
     pivots = _gauss_jordan(rows, m.field.p)
     return _from_vals(m.field, m.nrows, m.ncols, [x for row in rows for x in row], True), pivots
@@ -658,8 +678,8 @@ def invertible_member(field: FieldSpec, shapes: Sequence[Tuple[int, int]], part:
     k = span.ncols
     cols = list(zip(*span.rows()))
     part_vals = [row[0] for row in part.rows()]
-    rng = np.random.default_rng(seed)
-    draws = (rng.integers(0, field.p or 101, size=k).tolist() for _ in range(40 if k else 1))
+    rng = default_rng(seed)
+    draws = (rng.integers(0, field.p or 101, size=k) for _ in range(40 if k else 1))
     small = itertools.product(range(-2, 3), repeat=k) if 0 < k <= 6 else ()
     for coeffs in itertools.chain(draws, small):
         vals = part_vals

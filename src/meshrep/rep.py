@@ -14,10 +14,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .linalg import (FieldSpec, Matrix, complement_columns, inverse, invertible_member,
                      kernel_basis, rref, solve, split_vector, sylvester_system)
+from .rng import Generator
 from .shapes import Element, LineQuiver, Poset
 
 Cover = Tuple[Element, Element]
@@ -448,7 +447,7 @@ def find_isomorphism(x: Rep, y: Rep, seed: int = 0) -> Optional[Dict[Element, Ma
 # random representations (for the test suites)
 
 
-def random_rep(q: LineQuiver, field: FieldSpec, rng: np.random.Generator,
+def random_rep(q: LineQuiver, field: FieldSpec, rng: Generator,
                max_dim: int = 3) -> Rep:
     dims = {v: int(rng.integers(0, max_dim + 1)) for v in q.vertices}
     mats = {}
@@ -457,7 +456,7 @@ def random_rep(q: LineQuiver, field: FieldSpec, rng: np.random.Generator,
     return Rep(q.poset(), field, dims, mats, validate=False)
 
 
-def random_interval_sum(q: LineQuiver, field: FieldSpec, rng: np.random.Generator,
+def random_interval_sum(q: LineQuiver, field: FieldSpec, rng: Generator,
                         max_total: int = 6) -> Tuple[Rep, Dict[Interval, int]]:
     """A random direct sum of intervals, conjugated by random base change."""
     multiset: Dict[Interval, int] = {}

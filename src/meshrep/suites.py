@@ -10,8 +10,6 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from .armesh import build_ar, check_flip_sigma, check_mesh_relations
 from .bimod import (Bimodule, bar_tensor_oracle, bimodules_quasi_isomorphic,
                     cancel_tensor, duality_module, from_left_complex,
@@ -21,6 +19,7 @@ from .linalg import GF, QQ, FieldSpec
 from .rep import all_intervals, decompose, interval_module, random_interval_sum
 from .functors import (SerreTable, coxeter_minus, coxeter_plus, reflect_minus, reflect_minus_obj,
                        reflect_plus, reflect_plus_obj, serre, transport, untransport)
+from .rng import default_rng
 from .shapes import LineQuiver, MeshWindow, all_orientations, embed_iQ, is_admissible_sequence
 from .tilting import (apr_tilt, apply_bimodule, coxeter_bimodule, functor_kernel, iter_tilt,
                       picard_check, serre_bimodule, square_d4_bimodule, square_d4_inverse,
@@ -58,7 +57,7 @@ class Report:
 
 
 def suite_census(seed: int = DEFAULT_SEED, nmax: int = 6, samples: int = 200) -> Report:
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     checked = 0
     for n in range(1, nmax + 1):
         if len(all_intervals(n)) != n * (n + 1) // 2:
@@ -82,7 +81,7 @@ def suite_census(seed: int = DEFAULT_SEED, nmax: int = 6, samples: int = 200) ->
 
 
 def suite_ar(seed: int = DEFAULT_SEED, nmax: int = 5, per_orientation: int = 2) -> Report:
-    rng = np.random.default_rng(seed + 1)
+    rng = default_rng(seed + 1)
     field = GF()
     builds = 0
     for n in range(1, nmax + 1):
@@ -253,7 +252,7 @@ def suite_nakayama(seed: int = DEFAULT_SEED, nmax: int = 4) -> Report:
 
 def suite_kernels(seed: int = DEFAULT_SEED, nmax: int = 4, oracle_pairs: int = 100) -> Report:
     field = GF()
-    rng = np.random.default_rng(seed + 7)
+    rng = default_rng(seed + 7)
     # unit law and inverse laws
     for n in range(2, min(nmax, 3) + 1):
         for q in all_orientations(n):
@@ -432,7 +431,7 @@ def suite_stc(seed: int = DEFAULT_SEED, samples: int = 100,
                             is_distinguished, standard_triangle, translate)
     from .linalg import Matrix
     field = GF()
-    rng = np.random.default_rng(seed + 13)
+    rng = default_rng(seed + 13)
     sign_detected = {n: False for n in ns}
     for n in ns:
         q = LineQuiver.linear(n)

@@ -1,4 +1,5 @@
 import itertools
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from meshrep.linalg import (
-    GF, MAX_PRIME, QQ, FieldSpec, Matrix, _gauss_jordan, column_space_basis, complement_columns,
+    GF, MAX_PRIME, QQ, FieldSpec, Matrix, _gauss_jordan, _sparse_gauss_jordan, column_space_basis,
+    complement_columns,
     complement_projection, inverse, invertible_member, is_invertible, kernel_basis, kernel_cokernel,
     rank, rref, solve, split_vector, sylvester_system,
 )
@@ -128,7 +130,7 @@ def test_rationals_take_no_characteristic():
 
 
 @pytest.mark.parametrize("field", FIELDS)
-@pytest.mark.parametrize("n", [3, 13])  # 13 x 13 takes the numpy path over F_p
+@pytest.mark.parametrize("n", [3, 13])  # a small and a large matrix
 def test_submatrix_indices_are_checked(field, n):
     m = Matrix.from_rows(field, [[i * n + j for j in range(n)] for i in range(n)])
     rows, cols = list(range(n)), list(range(n))
@@ -243,7 +245,7 @@ def _check_against_reference(f, p, a, b, c):
         [u + [0] * l for u in a] + [[0] * k + v for v in b]
     ri, ci = list(range(r - 1, -1, -2)), [j for j in range(k) if j % 3 != 1]
     assert rows(ma.submatrix(ri, ci)) == [[a[i][j] for j in ci] for i in ri]
-    ri, ci = list(range(r - 1, -1, -1)) + [0], list(range(k))  # the numpy path from 12 x 12
+    ri, ci = list(range(r - 1, -1, -1)) + [0], list(range(k))
     assert rows(ma.submatrix(ri, ci)) == [[a[i][j] for j in ci] for i in ri]
     for m in (a, b, a + c):
         red, pivots = rref(Matrix.from_rows(f, m))
@@ -255,8 +257,8 @@ def _check_against_reference(f, p, a, b, c):
     assert rows(ma) == a and ma[r - 1, k - 1] == a[-1][-1]
 
 
-# matrix sides on both sides of the numpy thresholds: up to 7 (49 entries, and
-# 1 to 343 products in @, whose threshold is 16) and 12 to 16 (144 to 256 entries)
+# matrix sides on both sides of the sparse rref threshold of 64 entries: up to
+# 7 (49 entries) and 12 to 16 (144 to 256 entries)
 SIDES = st.one_of(st.integers(1, 7), st.integers(12, 16))
 
 
@@ -504,7 +506,7 @@ def test_block_shortcuts_return_the_shared_zero_or_the_block(field):
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
-@pytest.mark.parametrize("n", [3, 13])  # 13 x 13 is past the numpy size over F_p
+@pytest.mark.parametrize("n", [3, 13])  # a small and a large matrix
 def test_submatrix_shortcuts_return_the_shared_zero_or_self(field, n):
     m = Matrix.from_rows(field, [[i * n + j for j in range(n)] for i in range(n)])
     assert m.submatrix(range(n), range(n)) is m
@@ -544,6 +546,53 @@ def test_one_row_rref_is_the_elimination_answer(field):
         assert (red, got) == (Matrix.from_rows(field, rows), pivots), row
         if not pivots or m[0, pivots[0]] == 1:
             assert red is m
+
+
+def _echelon_mix(rnd, nrows, ncols, p):
+    """A matrix of rank min(nrows, ncols): rows in echelon form, each then
+    added to the rows above it with random coefficients (read by columns
+    when tall)."""
+    r, c = sorted((nrows, ncols))
+    leads = sorted(rnd.sample(range(c), r))
+    rows = [[0] * lead + [1] + [rnd.randrange(p) for _ in range(c - lead - 1)] for lead in leads]
+    for i in range(r - 1, 0, -1):
+        for k in range(i):
+            f = rnd.randrange(p)
+            rows[k] = [(x + f * y) % p for x, y in zip(rows[k], rows[i])]
+    return rows if nrows <= ncols else [list(col) for col in zip(*rows)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 5, 32003]),
+       st.sampled_from(["empty", "one-row", "zero", "full", "deficient", "random"]),
+       st.one_of(st.integers(1, 8), st.integers(9, 30)), st.one_of(st.integers(1, 8), st.integers(9, 30)),
+       st.sampled_from([0.01, 0.05, 0.2, 0.5, 1.0]), st.randoms(use_true_random=False))
+def test_sparse_rref_matches_gauss_jordan(p, kind, nrows, ncols, density, rnd):
+    """The elimination on nonzero entries gives the matrix and the pivots of
+    the dense one, and rref gives them on both sides of the switch; sides up
+    to 8 and from 9 to 30 give wide and tall shapes below and above 64 entries."""
+    nrows = {"empty": 0, "one-row": 1}.get(kind, nrows)
+    if kind == "full":
+        rows = _echelon_mix(rnd, nrows, ncols, p)
+    else:
+        rows = [[rnd.randrange(1, p) if kind != "zero" and rnd.random() < density else 0
+                 for _ in range(ncols)] for _ in range(nrows)]
+    if kind == "deficient":  # each row of the second half combines two of the first
+        keep = (nrows + 1) // 2
+        for i in range(keep, nrows):
+            f, g = rnd.randrange(p), rnd.randrange(p)
+            rows[i] = [(f * x + g * y) % p
+                       for x, y in zip(rows[rnd.randrange(keep)], rows[rnd.randrange(keep)])]
+    flat = [x for row in rows for x in row]
+    reduced = [list(row) for row in rows]
+    pivots = _gauss_jordan(reduced, p) if nrows else []
+    want = bytes(array("H", [x for row in reduced for x in row]))
+    assert _sparse_gauss_jordan(flat, nrows, ncols, p) == (want, pivots)
+    if kind == "full":
+        assert len(pivots) == min(nrows, ncols)
+    field = GF(p)
+    red, got = rref(Matrix(field, nrows, ncols, rows))
+    assert (red, got) == (Matrix(field, nrows, ncols, reduced), pivots)
 
 
 @pytest.mark.parametrize("field", [GF(5), GF(32003), QQ])
